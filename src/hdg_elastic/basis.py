@@ -5,7 +5,6 @@ Bases are monomials orthonormalized against the exact reference mass matrix
 Gram matrix is the identity to machine precision.
 """
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np

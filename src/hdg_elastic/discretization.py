@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SimplexBasis, simplex_space_dim
-from .mesh import LOCAL_FACES
+from .basis import SimplexBasis
 from .quadrature import simplex_rule
 
 

@@ -14,7 +14,7 @@ from .discretization import Discretization
 from .global_system import ProblemData, solve_time_harmonic
 from .local_ops import VARIANTS, assemble_local_blocks
 from .materials import FROBENIUS_WEIGHTS, SYM_MATS, pack_sym
-from .mesh import BoundaryTag, build_structured_cube, tag_boundary
+from .mesh import build_structured_cube, tag_boundary
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,22 @@
-"""Global skeleton assembly, sparse solve, reconstruction and oracles.
+"""Global trace numbering and operators, skeleton solve, reconstruction, oracles.
 
-Skeleton unknowns are the face trace coefficients on all non-Dirichlet faces,
-ordered by face index (faces are sorted by vertex triple at mesh build time)
-and component-major within a face. Dirichlet faces carry known coefficients
-obtained by face-wise L2 projection of the boundary datum.
+Every global path shares one numbering and one set of operators:
 
-Besides the hybridized (condensed) path, this module assembles the full
-uncondensed systems - both the second-order form in (stress, displacement,
-traces) and the first-order form in the unscaled stress - as oracles.
+- Trace dofs cover all faces: face fi owns dofs fi*3nF .. (fi+1)*3nF - 1,
+  component-major within the face (faces are sorted by vertex triple at mesh
+  build time). `trace_dofs` maps each element's local faces to them.
+- `global_operators` scatters the real element blocks A, D, M, T11, N and G
+  (as T12 = sum tau_K G_K^T and t22 = sum tau_K) over stress, displacement
+  and trace dofs; `boundary_data` reads the Neumann and impedance data.
+- The skeleton unknowns of the hybridized (condensed) system are the trace
+  dofs of the non-Dirichlet faces (`SkeletonMap`). Dirichlet faces carry
+  known coefficients, the face-wise L2 projection of the boundary datum.
+
+The uncondensed systems - the second-order form in (stress, displacement,
+traces) and the first-order form in the unscaled stress - are block matrices
+over the same operators; as oracles they differ from the hybrid path in
+their uncondensed solve. The flux residual and the transient system
+(time_domain) use the same operators.
 """
 
 import json
@@ -64,21 +73,76 @@ class ProblemData:
         return self.g_r if self.g_r is not None else _zero_vector_field
 
 
+def trace_dofs(mesh, nFd):
+    """Global trace numbering: (ne, 4, nFd) dofs of each element's local faces."""
+    return mesh.element_faces[:, :, None] * nFd + np.arange(nFd)
+
+
+def _scatter(row_dofs, col_dofs, blocks, shape):
+    """Sum element blocks (ne, r, c) into CSR at rows row_dofs (ne, r) and
+    columns col_dofs (ne, c). Exact zeros are not stored: they would cost
+    memory and sparse LU fill in every product and factor downstream."""
+    rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
+    mat = sps.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+    mat.eliminate_zeros()
+    return mat
+
+
 class SkeletonMap:
-    """Numbering of active (non-Dirichlet) face trace unknowns."""
+    """Numbering of active (non-Dirichlet) face trace unknowns.
+
+    Skeleton dof i is the trace dof dofs[i] of the global trace numbering."""
 
     def __init__(self, mesh, nFd):
         self.nFd = nFd
-        self.active = [fi for fi, f in enumerate(mesh.faces)
-                       if f.tag != BoundaryTag.DIRICHLET]
-        self.dirichlet = [fi for fi, f in enumerate(mesh.faces)
-                          if f.tag == BoundaryTag.DIRICHLET]
+        self.active = np.array([fi for fi, f in enumerate(mesh.faces)
+                                if f.tag != BoundaryTag.DIRICHLET], dtype=int)
         self.offset = {fi: i * nFd for i, fi in enumerate(self.active)}
         self.ndof = len(self.active) * nFd
+        self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
 
     def face_dofs(self, fi):
         base = self.offset[fi]
         return np.arange(base, base + self.nFd)
+
+
+@dataclass(frozen=True)
+class GlobalOperators:
+    """Real element blocks in global form.
+
+    Stress dofs s and displacement dofs u run element by element in the local
+    layouts of local_ops; trace dofs m follow `trace_dofs` over all faces.
+    Rows and columns of m sum over the elements that share a face."""
+    A: sps.csr_matrix     # (ns, ns) compliance mass
+    D: sps.csr_matrix     # (nu, ns) divergence coupling
+    M: sps.csr_matrix     # (nu, nu) density mass
+    T11: sps.csr_matrix   # (nu, nu) sum tau_K <P_M u, P_M w>
+    N: sps.csr_matrix     # (nm, ns) normal stress traces
+    T12: sps.csr_matrix   # (nu, nm) sum tau_K G_K^T
+    t22: np.ndarray       # (nm,) sum tau_K
+
+
+def global_operators(disc, material):
+    """Scatter the real blocks of all elements into GlobalOperators."""
+    mesh = disc.mesh
+    ne, nm = mesh.num_elements, mesh.num_faces * 3 * disc.nF
+    blocks = [assemble_local_blocks(disc, material, e) for e in range(ne)]
+    stack = lambda name: np.stack([getattr(b, name) for b in blocks])
+    tau = np.array([b.tau for b in blocks])
+    s = np.arange(ne * 6 * disc.nV).reshape(ne, -1)
+    u = np.arange(ne * 3 * disc.nW).reshape(ne, -1)
+    m = trace_dofs(mesh, 3 * disc.nF).reshape(ne, -1)
+    ns, nu = s.size, u.size
+    G = stack("G").reshape(ne, m.shape[1], -1)
+    return GlobalOperators(
+        A=_scatter(s, s, stack("A"), (ns, ns)),
+        D=_scatter(u, s, stack("D"), (nu, ns)),
+        M=_scatter(u, u, stack("M"), (nu, nu)),
+        T11=_scatter(u, u, stack("T11"), (nu, nu)),
+        N=_scatter(m, s, stack("N").reshape(ne, m.shape[1], -1), (nm, ns)),
+        T12=_scatter(u, m, tau[:, None, None] * G.transpose(0, 2, 1), (nu, nm)),
+        t22=np.bincount(m.ravel(), np.repeat(tau, m.shape[1]), nm))
 
 
 def solve_dirichlet_trace(disc, g_d):
@@ -93,35 +157,34 @@ def solve_dirichlet_trace(disc, g_d):
 
 def load_moments(disc, e, f):
     """Moments (f, w) against the element W basis, flattened (3*nW,)."""
-    pts, wts = disc.element_points(e), disc.element_weights(e)
-    psi, _ = disc.scalar_basis(e, "W")
-    vals = np.asarray(f(pts))
-    return np.einsum("q,qd,qj->dj", wts, vals, psi).ravel()
+    return disc.project_w(e, f).ravel()
 
 
-def face_moments(disc, fi, g):
-    """Moments <g, mu> against the face basis, flattened (3*nF,)."""
-    fd = disc.face_data(fi)
-    vals = np.asarray(g(fd.points))
-    return np.einsum("q,qd,ql->dl", fd.weights, vals, fd.chi).ravel()
+def boundary_data(disc, data):
+    """Neumann and impedance data over all trace dofs.
 
-
-def boundary_normal(disc, fi):
-    """Outward unit normal of a boundary face (the owner's outward normal)."""
+    Returns (g, imp): g holds the moments <g_n(x, n), mu> on Neumann faces and
+    <g_r(x, n), mu> on impedance faces, with n the outward unit normal; imp is
+    the diagonal i kappa of the impedance condition sigma n + i kappa u = g_r
+    on impedance faces. Both are zero on all other faces."""
     mesh = disc.mesh
-    face = mesh.faces[fi]
-    if face.neighbor >= 0:
-        raise ValueError(f"face {fi} is not a boundary face")
-    lf = int(np.flatnonzero(mesh.element_faces[face.owner] == fi)[0])
-    return mesh.element_face_signs[face.owner, lf] * face.normal
-
-
-def boundary_moments(disc, fi, g):
-    """Moments <g(x, n), mu> on a boundary face, flattened (3*nF,)."""
-    fd = disc.face_data(fi)
-    n = boundary_normal(disc, fi)
-    vals = np.asarray(g(fd.points, n))
-    return np.einsum("q,qd,ql->dl", fd.weights, vals, fd.chi).ravel()
+    nFd = 3 * disc.nF
+    g = np.zeros((mesh.num_faces, nFd), dtype=complex)
+    imp = np.zeros((mesh.num_faces, nFd), dtype=complex)
+    for fi, face in enumerate(mesh.faces):
+        if face.tag == BoundaryTag.NEUMANN:
+            datum = data.neumann()
+        elif face.tag == BoundaryTag.IMPEDANCE:
+            datum = data.impedance()
+            imp[fi] = 1j * data.kappa
+        else:
+            continue
+        fd = disc.face_data(fi)
+        lf = int(np.flatnonzero(mesh.element_faces[face.owner] == fi)[0])
+        n = mesh.element_face_signs[face.owner, lf] * face.normal
+        vals = np.asarray(datum(fd.points, n))
+        g[fi] = np.einsum("q,qd,ql->dl", fd.weights, vals, fd.chi).ravel()
+    return g.ravel(), imp.ravel()
 
 
 @dataclass
@@ -151,51 +214,24 @@ def assemble_hybrid(disc, material, data, variant):
             "faces: its stabilization and the impedance term enter the "
             "discrete energy identity with opposite signs",
             RuntimeWarning, stacklevel=2)
-    nFd = 3 * disc.nF
+    ne, nFd = mesh.num_elements, 3 * disc.nF
     skel = SkeletonMap(mesh, nFd)
     dir_values = solve_dirichlet_trace(disc, data.dirichlet())
-    rhs = np.zeros(skel.ndof, dtype=complex)
-    rows, cols, vals = [], [], []
-
-    for e in range(mesh.num_elements):
+    g, imp = boundary_data(disc, data)
+    S = np.empty((ne, 4 * nFd, 4 * nFd), dtype=complex)
+    loads = np.empty((ne, 4 * nFd), dtype=complex)
+    for e in range(ne):
         blocks = assemble_local_blocks(disc, material, e)
         fact = factorize_local(blocks, data.kappa, variant)
-        S, load_map = condense(fact)
-        local_rhs = load_map @ load_moments(disc, e, data.load())
-        faces = mesh.element_faces[e]
-        tags = [mesh.faces[fi].tag for fi in faces]
-        for lr in range(4):
-            if tags[lr] == BoundaryTag.DIRICHLET:
-                continue
-            rdofs = skel.face_dofs(faces[lr])
-            rblock = slice(lr * nFd, (lr + 1) * nFd)
-            acc = local_rhs[rblock].copy()
-            for lc in range(4):
-                cblock = slice(lc * nFd, (lc + 1) * nFd)
-                if tags[lc] == BoundaryTag.DIRICHLET:
-                    acc -= S[rblock, cblock] @ dir_values[faces[lc]].ravel()
-                else:
-                    cdofs = skel.face_dofs(faces[lc])
-                    rr, cc = np.meshgrid(rdofs, cdofs, indexing="ij")
-                    rows.append(rr.ravel())
-                    cols.append(cc.ravel())
-                    vals.append(S[rblock, cblock].ravel())
-            rhs[rdofs] += acc
+        S[e], load_map = condense(fact)
+        loads[e] = load_map @ load_moments(disc, e, data.load())
 
-    for fi, face in enumerate(mesh.faces):
-        if face.tag == BoundaryTag.NEUMANN:
-            rhs[skel.face_dofs(fi)] += boundary_moments(disc, fi, data.neumann())
-        elif face.tag == BoundaryTag.IMPEDANCE:
-            dofs = skel.face_dofs(fi)
-            rows.append(dofs)
-            cols.append(dofs)
-            vals.append(np.full(nFd, 1j * data.kappa))
-            rhs[dofs] += boundary_moments(disc, fi, data.impedance())
-
-    matrix = sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(skel.ndof, skel.ndof))
-    return HybridSystem(matrix, rhs, skel, dir_values, data.kappa, variant)
+    dofs = trace_dofs(mesh, nFd).reshape(ne, -1)
+    full = _scatter(dofs, dofs, S, (g.size, g.size)) + sps.diags(imp)
+    rhs = g - full @ dir_values.ravel()
+    np.add.at(rhs, dofs, loads)
+    matrix = full[skel.dofs][:, skel.dofs]
+    return HybridSystem(matrix, rhs[skel.dofs], skel, dir_values, data.kappa, variant)
 
 
 def solve_skeleton(system):
@@ -210,11 +246,8 @@ def solve_skeleton(system):
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(
             f"skeleton solve did not converge (relative residual {residual:.3e})")
-    skel = system.skeleton
-    nF = system.dirichlet_values.shape[2]
     uhat = system.dirichlet_values.copy()
-    for fi in skel.active:
-        uhat[fi] = x[skel.face_dofs(fi)].reshape(3, nF)
+    uhat[system.skeleton.active] = x.reshape(-1, *uhat.shape[1:])
     return uhat
 
 
@@ -275,91 +308,51 @@ def solve_time_harmonic(disc, material, data, variant):
 # ---- uncondensed oracles ----
 
 
-def _global_layout(disc):
-    mesh = disc.mesh
-    ne = mesh.num_elements
-    nS, nW3, nFd = 6 * disc.nV, 3 * disc.nW, 3 * disc.nF
-    off_s = 0
-    off_u = ne * nS
-    off_m = off_u + ne * nW3
-    ndof = off_m + mesh.num_faces * nFd
-    return nS, nW3, nFd, off_s, off_u, off_m, ndof
-
-
 def assemble_monolithic(disc, material, data, variant=None, form="second"):
     """Full sparse system over (stress, displacement, all traces).
 
     form='second': the alpha-family system in the second-order stress.
     form='first':  the first-order system in the unscaled stress (load and
     traction data divided by -i*kappa accordingly).
+    Trace rows of Dirichlet faces fix the projected Dirichlet datum.
     Returns (matrix, rhs, layout) with layout = (nS, nW3, nFd, offsets...)."""
     mesh = disc.mesh
     kappa = data.kappa
     if form == "first":
         if kappa == 0:
             raise ValueError("first-order form requires kappa != 0")
-        alpha = None
+        if any(f.tag == BoundaryTag.IMPEDANCE for f in mesh.faces):
+            raise ValueError("impedance oracle implemented for the second-order form")
     else:
         variant = variant if variant is not None else VARIANTS["first_order"]
         alpha = variant.alpha(kappa)
-    nS, nW3, nFd, off_s, off_u, off_m, ndof = _global_layout(disc)
-    mat = sps.lil_matrix((ndof, ndof), dtype=complex)
-    rhs = np.zeros(ndof, dtype=complex)
-    data_scale = 1j / kappa if form == "first" else 1.0
-
-    for e in range(mesh.num_elements):
-        b = assemble_local_blocks(disc, material, e)
-        sl_s = slice(off_s + e * nS, off_s + (e + 1) * nS)
-        sl_u = slice(off_u + e * nW3, off_u + (e + 1) * nW3)
-        if form == "second":
-            mat[sl_s, sl_s] += b.A
-            mat[sl_s, sl_u] += b.D.T
-            mat[sl_u, sl_s] += b.D
-            mat[sl_u, sl_u] += kappa ** 2 * b.M - alpha * b.T11
-        else:
-            mat[sl_s, sl_s] += 1j * kappa * b.A
-            mat[sl_s, sl_u] += -b.D.T
-            mat[sl_u, sl_s] += b.D
-            mat[sl_u, sl_u] += 1j * kappa * b.M + b.T11
-        rhs[sl_u] += data_scale * load_moments(disc, e, data.load())
-        for lf in range(4):
-            fi = mesh.element_faces[e, lf]
-            sl_m = slice(off_m + fi * nFd, off_m + (fi + 1) * nFd)
-            tag = mesh.faces[fi].tag
-            if form == "second":
-                mat[sl_s, sl_m] += -b.N[lf].T
-                mat[sl_u, sl_m] += alpha * b.tau * b.G[lf].T
-                if tag != BoundaryTag.DIRICHLET:
-                    mat[sl_m, sl_s] += b.N[lf]
-                    mat[sl_m, sl_u] += -alpha * b.tau * b.G[lf]
-                    mat[sl_m, sl_m] += alpha * b.tau * np.eye(nFd)
-            else:
-                mat[sl_s, sl_m] += b.N[lf].T
-                mat[sl_u, sl_m] += -b.tau * b.G[lf].T
-                if tag != BoundaryTag.DIRICHLET:
-                    mat[sl_m, sl_s] += -b.N[lf]
-                    mat[sl_m, sl_u] += -b.tau * b.G[lf]
-                    mat[sl_m, sl_m] += b.tau * np.eye(nFd)
-
-    for fi, face in enumerate(mesh.faces):
-        sl_m = slice(off_m + fi * nFd, off_m + (fi + 1) * nFd)
-        if face.tag == BoundaryTag.DIRICHLET:
-            mat[sl_m, sl_m] = np.eye(nFd)
-            rhs[off_m + fi * nFd: off_m + (fi + 1) * nFd] = \
-                disc.project_face(fi, data.dirichlet()).ravel()
-        elif face.tag == BoundaryTag.NEUMANN:
-            gn = boundary_moments(disc, fi, data.neumann())
-            rng = np.arange(off_m + fi * nFd, off_m + (fi + 1) * nFd)
-            rhs[rng] += data_scale * gn if form == "second" else -data_scale * gn
-        elif face.tag == BoundaryTag.IMPEDANCE:
-            if form == "first":
-                raise ValueError("impedance oracle implemented for the second-order form")
-            rng = np.arange(off_m + fi * nFd, off_m + (fi + 1) * nFd)
-            for i in rng:
-                mat[i, i] += 1j * kappa
-            rhs[rng] += boundary_moments(disc, fi, data.impedance())
-
-    return mat.tocsr(), rhs, (nS, nW3, nFd, off_s, off_u, off_m, ndof)
+    ops = global_operators(disc, material)
+    g, imp = boundary_data(disc, data)
+    fixed = solve_dirichlet_trace(disc, data.dirichlet())
+    nS, nW3, nFd = 6 * disc.nV, 3 * disc.nW, 3 * disc.nF
+    is_fixed = np.repeat([f.tag == BoundaryTag.DIRICHLET for f in mesh.faces], nFd)
+    keep, fix = sps.diags((~is_fixed).astype(float)), sps.diags(is_fixed.astype(float))
+    T22 = sps.diags(ops.t22)
+    loads = np.concatenate([load_moments(disc, e, data.load())
+                            for e in range(mesh.num_elements)])
+    if form == "second":
+        data_scale, g_scale = 1.0, 1.0
+        blocks = [[ops.A, ops.D.T, -ops.N.T],
+                  [ops.D, kappa ** 2 * ops.M - alpha * ops.T11, alpha * ops.T12],
+                  [keep @ ops.N, keep @ (-alpha * ops.T12.T),
+                   keep @ (alpha * T22) + sps.diags(imp) + fix]]
+    else:
+        data_scale = 1j / kappa
+        g_scale = -data_scale
+        blocks = [[1j * kappa * ops.A, -ops.D.T, ops.N.T],
+                  [ops.D, 1j * kappa * ops.M + ops.T11, -ops.T12],
+                  [keep @ -ops.N, keep @ -ops.T12.T, keep @ T22 + fix]]
+    mat = sps.bmat(blocks, format="csr")
+    mat.eliminate_zeros()
+    ns, nu = ops.A.shape[0], ops.M.shape[0]
+    rhs = np.concatenate([np.zeros(ns, dtype=complex), data_scale * loads,
+                          g_scale * g + fixed.ravel()])
+    return mat, rhs, (nS, nW3, nFd, 0, ns, ns + nu, len(rhs))
 
 
 def solve_monolithic(disc, material, data, variant=None, form="second"):
@@ -387,30 +380,13 @@ def flux_residual(disc, material, data, variant, solution):
 
     Interior faces: single-valuedness of the numerical flux moments.
     Neumann/impedance faces: the corresponding boundary condition."""
-    mesh = disc.mesh
-    nFd = 3 * disc.nF
+    ops = global_operators(disc, material)
+    g, imp = boundary_data(disc, data)
     alpha = variant.alpha(data.kappa)
-    acc = np.zeros((mesh.num_faces, nFd), dtype=complex)
-    for e in range(mesh.num_elements):
-        b = assemble_local_blocks(disc, material, e)
-        s = solution.sigma[e].ravel()
-        u = solution.u[e].ravel()
-        for lf in range(4):
-            fi = mesh.element_faces[e, lf]
-            m = solution.uhat[fi].ravel()
-            acc[fi] += b.N[lf] @ s - alpha * b.tau * (b.G[lf] @ u - m)
-    worst = 0.0
-    for fi, face in enumerate(mesh.faces):
-        if face.tag == BoundaryTag.DIRICHLET:
-            continue
-        want = np.zeros(nFd, dtype=complex)
-        if face.tag == BoundaryTag.NEUMANN:
-            want = boundary_moments(disc, fi, data.neumann())
-        elif face.tag == BoundaryTag.IMPEDANCE:
-            want = boundary_moments(disc, fi, data.impedance()) \
-                - 1j * data.kappa * solution.uhat[fi].ravel()
-        worst = max(worst, float(np.abs(acc[fi] - want).max()))
-    return worst
+    s, u, m = solution.sigma.ravel(), solution.u.ravel(), solution.uhat.ravel()
+    residual = ops.N @ s - alpha * (ops.T12.T @ u - ops.t22 * m) - g + imp * m
+    active = SkeletonMap(disc.mesh, 3 * disc.nF).dofs
+    return float(np.abs(residual[active]).max(initial=0.0))
 
 
 def save_solution(path, solution, header=None):

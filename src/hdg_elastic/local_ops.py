@@ -80,9 +80,13 @@ class LocalBlocks:
 
 
 def assemble_local_blocks(disc, material, e):
-    """Quadrature assembly of all real elemental blocks."""
+    """Quadrature assembly of all real elemental blocks.
+
+    Raises ValueError when the material violates mu > 0, 3 lam + 2 mu > 0 or
+    rho > 0 at a quadrature point of the element."""
     mesh = disc.mesh
     pts, wts = disc.element_points(e), disc.element_weights(e)
+    material.validate(pts)
     phi, dphi = disc.scalar_basis(e, "V")
     psi, _ = disc.scalar_basis(e, "W")
     nV, nW, nF = disc.nV, disc.nW, disc.nF

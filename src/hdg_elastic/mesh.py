@@ -66,9 +66,6 @@ class Mesh:
         v = self.element_vertices(e)
         return max(np.linalg.norm(v[i] - v[j]) for i in range(4) for j in range(i + 1, 4))
 
-    def boundary_faces(self):
-        return [i for i, f in enumerate(self.faces) if f.neighbor < 0]
-
 
 def _face_normal_area(va, vb, vc):
     cr = np.cross(vb - va, vc - va)
@@ -103,7 +100,6 @@ def _build_faces(vertices, elements):
     ne = len(elements)
     element_faces = np.full((ne, 4), -1, dtype=int)
     element_face_signs = np.zeros((ne, 4), dtype=int)
-    mesh_stub = None
     for fi, key in enumerate(keys):
         inc = incidence[key]
         if len(inc) > 2:
@@ -223,8 +219,3 @@ def load_mesh(path):
     if elements.min() < 0 or elements.max() >= nv:
         raise ValueError(f"mesh file {path}: element vertex index out of range")
     return _finish_mesh(vertices, elements)
-
-
-def is_unit_cube(mesh):
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    return bool(np.all(np.abs(lo) < _GEOM_TOL) and np.all(np.abs(hi - 1) < _GEOM_TOL))

@@ -20,18 +20,23 @@ fluxes carry m as a differential variable with  T22 m' = T12^T v +/- N s.
 The discrete energy is E = 1/2 ||sigma||_A^2 + 1/2 ||v||_rho^2, plus the
 interface term 1/2 ||P_M u - u_hat||_tau^2 for the conservative flux; it is
 exactly conserved, nondecreasing or nonincreasing respectively.
+
+The real blocks are the global operators of the frequency-domain solver
+(global_system.global_operators), restricted to the trace dofs of the
+non-Dirichlet faces, so the harmonic ansatz in them reproduces the
+alpha-family system of the matching flux variant.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .global_system import SkeletonMap
-from .local_ops import assemble_local_blocks
-from .mesh import BoundaryTag
+from .global_system import SkeletonMap, global_operators
+# unused here; perfbench/tracing.py wraps it through this module's binding
+from .local_ops import assemble_local_blocks  # noqa: F401
 
 FLUXES = ("conservative", "accumulating", "dissipative")
 
@@ -67,42 +72,17 @@ class SemidiscreteSystem:
         self.disc = disc
         self.material = material
         self.flux = flux
-        mesh = disc.mesh
-        ne = mesh.num_elements
-        nS, nW3, nFd = 6 * disc.nV, 3 * disc.nW, 3 * disc.nF
-        self.skeleton = SkeletonMap(mesh, nFd)
-        self.ns, self.nu, self.nm = ne * nS, ne * nW3, self.skeleton.ndof
-
-        A = sps.lil_matrix((self.ns, self.ns))
-        D = sps.lil_matrix((self.nu, self.ns))
-        M = sps.lil_matrix((self.nu, self.nu))
-        T11 = sps.lil_matrix((self.nu, self.nu))
-        N = sps.lil_matrix((self.nm, self.ns))
-        T12 = sps.lil_matrix((self.nu, self.nm))
-        t22 = np.zeros(self.nm)
-        for e in range(ne):
-            b = assemble_local_blocks(disc, material, e)
-            sl_s = slice(e * nS, (e + 1) * nS)
-            sl_u = slice(e * nW3, (e + 1) * nW3)
-            A[sl_s, sl_s] = b.A
-            D[sl_u, sl_s] = b.D
-            M[sl_u, sl_u] = b.M
-            T11[sl_u, sl_u] = b.T11
-            for lf in range(4):
-                fi = mesh.element_faces[e, lf]
-                if mesh.faces[fi].tag == BoundaryTag.DIRICHLET:
-                    continue
-                dofs = self.skeleton.face_dofs(fi)
-                N[dofs, sl_s] += b.N[lf]
-                T12[sl_u, dofs.min():dofs.max() + 1] += b.tau * b.G[lf].T
-                t22[dofs] += b.tau
-        self.A = A.tocsc()
-        self.D = D.tocsr()
-        self.M = M.tocsc()
-        self.T11 = T11.tocsr()
-        self.N = N.tocsr()
-        self.T12 = T12.tocsr()
-        self.t22 = t22
+        ops = global_operators(disc, material)
+        self.skeleton = SkeletonMap(disc.mesh, 3 * disc.nF)
+        active = self.skeleton.dofs
+        self.ns, self.nu, self.nm = ops.A.shape[0], ops.M.shape[0], self.skeleton.ndof
+        self.A = ops.A.tocsc()
+        self.D = ops.D
+        self.M = ops.M.tocsc()
+        self.T11 = ops.T11
+        self.N = ops.N[active]
+        self.T12 = ops.T12[:, active]
+        self.t22 = ops.t22[active]
 
         self._A_lu = spla.splu(self.A)
         self._M_lu = spla.splu(self.M)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
                          assemble_hybrid, build_structured_cube, flux_residual,
@@ -11,7 +12,8 @@ from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
                          solve_monolithic, solve_skeleton, solve_time_harmonic,
                          tag_boundary)
 from hdg_elastic.errors import problem_data_from_case
-from hdg_elastic.global_system import solve_dirichlet_trace
+from hdg_elastic.global_system import global_operators, solve_dirichlet_trace
+from hdg_elastic.local_ops import assemble_local_blocks
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,36 @@ def test_skeleton_dimension(poly_setup):
     system = assemble_hybrid(disc, case.material, data, VARIANTS["first_order"])
     # 18 faces, 4 Dirichlet, 3 components x 3 basis functions per face
     assert system.matrix.shape == (126, 126)
+
+
+def test_global_operators_match_local_blocks(poly_setup):
+    # the shared global operators against an element-by-element scatter
+    disc, case, _ = poly_setup
+    mesh = disc.mesh
+    ops = global_operators(disc, case.material)
+    blocks = [assemble_local_blocks(disc, case.material, e)
+              for e in range(mesh.num_elements)]
+    for name in ("A", "D", "M", "T11"):
+        ref = block_diag(*[getattr(b, name) for b in blocks])
+        assert np.array_equal(getattr(ops, name).toarray(), ref), name
+    nS, nW3, nFd = 6 * disc.nV, 3 * disc.nW, 3 * disc.nF
+    nm = mesh.num_faces * nFd
+    N = np.zeros((nm, len(blocks) * nS))
+    T12 = np.zeros((len(blocks) * nW3, nm))
+    t22 = np.zeros(nm)
+    for e, b in enumerate(blocks):
+        s = slice(e * nS, (e + 1) * nS)
+        u = slice(e * nW3, (e + 1) * nW3)
+        for lf, fi in enumerate(mesh.element_faces[e]):
+            m = slice(fi * nFd, (fi + 1) * nFd)
+            N[m, s] += b.N[lf]
+            T12[u, m] += b.tau * b.G[lf].T
+            t22[m] += b.tau
+    assert np.array_equal(ops.N.toarray(), N)
+    assert np.array_equal(ops.T12.toarray(), T12)
+    assert np.array_equal(ops.t22, t22)
+    for op in (ops.A, ops.D, ops.M, ops.T11, ops.N, ops.T12):
+        assert np.all(op.data != 0)
 
 
 def test_homogeneous_data_zero_solution(poly_setup):

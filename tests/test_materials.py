@@ -150,3 +150,21 @@ def test_sym_packing_convention():
     recon = np.einsum("a,aij->ij", pack_sym(m)[0] * 0 + 1, SYM_MATS * 0) \
         + np.einsum("a,aij->ij", pack_sym(m)[0], SYM_MATS)
     assert np.allclose(recon, m[0])
+
+
+def test_invalid_material_field_fails_loudly():
+    # mu = 1 - 2 x1 turns negative inside the cube, for x1 > 1/2
+    import sympy as sp
+    from hdg_elastic import (VARIANTS, Discretization, Material, ProblemData,
+                             SemidiscreteSystem, build_structured_cube,
+                             solve_time_harmonic, tag_boundary)
+    from hdg_elastic.materials import X1
+    one = lambda x: np.ones(np.shape(x)[:-1])
+    mat = Material(one, one, lambda x: 1 - 2 * np.asarray(x)[..., 0],
+                   sp.Integer(1), sp.Integer(1), 1 - 2 * X1)
+    disc = Discretization(tag_boundary(build_structured_cube(1), "all-dirichlet"), 1)
+    with pytest.raises(ValueError, match="mu > 0"):
+        solve_time_harmonic(disc, mat, ProblemData(kappa=1.0),
+                            VARIANTS["first_order"])
+    with pytest.raises(ValueError, match="mu > 0"):
+        SemidiscreteSystem(disc, mat, "conservative")
