@@ -13,6 +13,7 @@ are defined through the face chart induced by the sorted global vertex triple
 and both incident elements evaluate the same functions.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,13 @@ class FaceData:
     chart_origin: np.ndarray
     chart_jac: np.ndarray  # (3, 2)
     scale: float           # 1/sqrt(2*area)
+
+
+def _evaluate(field, pts):
+    """Evaluate a field callable on points (..., 3), passed as one (n, 3)
+    array, so that callables written for a list of points serve batches."""
+    vals = np.asarray(field(pts.reshape(-1, 3)))
+    return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
 class Discretization:
@@ -71,7 +79,27 @@ class Discretization:
         if np.any(self.det_jac <= 0):
             raise ValueError("mesh contains non-positively oriented elements")
 
+        self.v0 = mesh.vertices[mesh.elements[:, 0]]             # (ne, 3)
         self._face_data = [self._build_face_data(fi) for fi in range(mesh.num_faces)]
+        self.face_points = np.stack([fd.points for fd in self._face_data])    # (nf, nq, 3)
+        self.face_weights = np.stack([fd.weights for fd in self._face_data])  # (nf, nq)
+        self.face_chi = np.stack([fd.chi for fd in self._face_data])          # (nf, nq, nF)
+        self.face_normals = np.array([f.normal for f in mesh.faces])          # (nf, 3)
+
+        # The element reference coordinates of a face's quadrature points
+        # depend only on where the face's sorted vertex triple sits among the
+        # element's vertices: placement 16 p0 + 4 p1 + p2 for local vertex
+        # positions p. The element bases are tabulated for all 64 placements.
+        triples = np.array([f.vertices for f in mesh.faces])[mesh.element_faces]
+        pos = np.argmax(mesh.elements[:, None, None, :] == triples[..., None], axis=-1)
+        self.face_placement = pos @ np.array([16, 4, 1])                       # (ne, 4)
+        corners = np.vstack([np.zeros(3), np.eye(3)])[
+            np.array(list(itertools.product(range(4), repeat=3)))]            # (64, 3, 3)
+        st = self.face_rule.points
+        ref = corners[:, None, 0] + st @ (corners[:, 1:] - corners[:, :1])     # (64, nq, 3)
+        nqf = len(st)
+        self.face_phi_ref = self.tet_basis_v.eval(ref.reshape(-1, 3))[0].reshape(64, nqf, -1)
+        self.face_psi_ref = self.tet_basis_w.eval(ref.reshape(-1, 3))[0].reshape(64, nqf, -1)
 
     # ---- faces ----
 
@@ -97,23 +125,25 @@ class Discretization:
         return vals * fd.scale
 
     # ---- elements ----
+    # element_points, element_weights, scalar_basis, tau and the projections
+    # take one element index or an integer array of them; an array adds a
+    # leading element axis to every argument and result.
 
     def element_points(self, e):
         """Physical volume quadrature points, (nq, 3)."""
-        v0 = self.mesh.element_vertices(e)[0]
-        return v0 + self.vol_rule.points @ self.jac[e].T
+        return self.v0[e][..., None, :] + self.vol_rule.points @ np.swapaxes(self.jac[e], -1, -2)
 
     def element_weights(self, e):
-        return self.vol_rule.weights * self.det_jac[e]
+        return self.vol_rule.weights * self.det_jac[e][..., None]
 
     def scalar_basis(self, e, which):
         """Values and physical gradients of the element scalar basis at volume
         quadrature points. which is 'V' (degree k) or 'W' (degree k+1)."""
         vals_ref, grads_ref = (self.phi_ref, self.dphi_ref) if which == "V" \
             else (self.psi_ref, self.dpsi_ref)
-        s = 1.0 / np.sqrt(self.det_jac[e])
+        s = 1.0 / np.sqrt(self.det_jac[e])[..., None, None]
         vals = vals_ref * s
-        grads = np.einsum("qnd,de->qne", grads_ref, self.jac_inv[e]) * s
+        grads = (grads_ref @ self.jac_inv[e][..., None, :, :]) * s[..., None]
         return vals, grads
 
     def scalar_basis_at(self, e, phys_points, which):
@@ -135,9 +165,9 @@ class Discretization:
 
         Returns coefficients of shape (3, nW)."""
         pts, wts = self.element_points(e), self.element_weights(e)
-        vals = np.asarray(field(pts))
+        vals = _evaluate(field, pts)
         psi, _ = self.scalar_basis(e, "W")
-        return np.einsum("q,qd,qj->dj", wts, vals, psi)
+        return np.einsum("...q,...qd,...qj->...dj", wts, vals, psi)
 
     def project_v(self, e, field):
         """L2 projection of a symmetric matrix field (x -> (..., 3, 3)) onto V|_K.
@@ -145,15 +175,17 @@ class Discretization:
         Returns packed coefficients of shape (6, nV). Raises on asymmetric input."""
         from .materials import pack_sym
         pts, wts = self.element_points(e), self.element_weights(e)
-        packed = pack_sym(np.asarray(field(pts)))
+        packed = pack_sym(_evaluate(field, pts))
         phi, _ = self.scalar_basis(e, "V")
-        return np.einsum("q,qc,qi->ci", wts, packed, phi)
+        return np.einsum("...q,...qc,...qi->...ci", wts, packed, phi)
 
     def project_face(self, fi, field):
-        """L2 projection of a vector field onto the face space M|_F, (3, nF)."""
-        fd = self._face_data[fi]
-        vals = np.asarray(field(fd.points))
-        return np.einsum("q,qd,ql->dl", fd.weights, vals, fd.chi)
+        """L2 projection of a vector field onto the face space M|_F, (3, nF).
+
+        fi is one face index or an integer array of them."""
+        vals = _evaluate(field, self.face_points[fi])
+        return np.einsum("...q,...qd,...ql->...dl", self.face_weights[fi], vals,
+                         self.face_chi[fi])
 
     def eval_w(self, e, coeffs, phys_points):
         """Evaluate a W field from coefficients (3, nW) at physical points."""

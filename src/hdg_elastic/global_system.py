@@ -28,8 +28,11 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .local_ops import (VARIANTS, FluxVariant, assemble_local_blocks, condense,
-                        factorize_local, recover)
+from .local_ops import (VARIANTS, FluxVariant, block_bytes, condense_batch,
+                        element_batches, element_blocks, resolution_flags)
+# The per-element reference path; perfbench/tracing.py wraps these names
+# through this module's bindings.
+from .local_ops import assemble_local_blocks, condense, factorize_local, recover  # noqa: F401
 from .mesh import BoundaryTag
 
 _RESIDUAL_TOL = 1e-8
@@ -127,9 +130,10 @@ def global_operators(disc, material):
     """Scatter the real blocks of all elements into GlobalOperators."""
     mesh = disc.mesh
     ne, nm = mesh.num_elements, mesh.num_faces * 3 * disc.nF
-    blocks = [assemble_local_blocks(disc, material, e) for e in range(ne)]
-    stack = lambda name: np.stack([getattr(b, name) for b in blocks])
-    tau = np.array([b.tau for b in blocks])
+    blocks = [element_blocks(disc, material, batch)
+              for batch in element_batches(ne, block_bytes(disc))]
+    stack = lambda name: np.concatenate([getattr(b, name) for b in blocks])
+    tau = stack("tau")
     s = np.arange(ne * 6 * disc.nV).reshape(ne, -1)
     u = np.arange(ne * 3 * disc.nW).reshape(ne, -1)
     m = trace_dofs(mesh, 3 * disc.nF).reshape(ne, -1)
@@ -149,15 +153,15 @@ def solve_dirichlet_trace(disc, g_d):
     """Face-wise projection of the Dirichlet datum; zeros on other faces."""
     mesh = disc.mesh
     values = np.zeros((mesh.num_faces, 3, disc.nF), dtype=complex)
-    for fi, face in enumerate(mesh.faces):
-        if face.tag == BoundaryTag.DIRICHLET:
-            values[fi] = disc.project_face(fi, g_d)
+    fixed = np.array([f.tag == BoundaryTag.DIRICHLET for f in mesh.faces])
+    values[fixed] = disc.project_face(np.flatnonzero(fixed), g_d)
     return values
 
 
 def load_moments(disc, e, f):
-    """Moments (f, w) against the element W basis, flattened (3*nW,)."""
-    return disc.project_w(e, f).ravel()
+    """Moments (f, w) against the element W basis, flattened (3*nW,);
+    (len(e), 3*nW) for an integer array e of elements."""
+    return disc.project_w(e, f).reshape(np.shape(e) + (-1,))
 
 
 def boundary_data(disc, data):
@@ -189,12 +193,18 @@ def boundary_data(disc, data):
 
 @dataclass
 class HybridSystem:
+    """Condensed skeleton system together with the local solvers that
+    recover the interior unknowns from its solution."""
     matrix: sps.csr_matrix
     rhs: np.ndarray
     skeleton: SkeletonMap
     dirichlet_values: np.ndarray  # (nfaces, 3, nF), zero off Dirichlet faces
     kappa: float
     variant: FluxVariant
+    disc: object                  # the Discretization assembled on
+    solvers: np.ndarray           # (ne, nS+nW3, nM) C^-1 B_in per element
+    interior: np.ndarray          # (ne, nS+nW3) C^-1 [0; f] per element
+    diagnostics: dict             # plain numbers, completed by solve_skeleton
 
 
 def assemble_hybrid(disc, material, data, variant):
@@ -215,29 +225,46 @@ def assemble_hybrid(disc, material, data, variant):
             "discrete energy identity with opposite signs",
             RuntimeWarning, stacklevel=2)
     ne, nFd = mesh.num_elements, 3 * disc.nF
+    nM, n = 4 * nFd, 6 * disc.nV + 3 * disc.nW
     skel = SkeletonMap(mesh, nFd)
     dir_values = solve_dirichlet_trace(disc, data.dirichlet())
     g, imp = boundary_data(disc, data)
-    S = np.empty((ne, 4 * nFd, 4 * nFd), dtype=complex)
-    loads = np.empty((ne, 4 * nFd), dtype=complex)
-    for e in range(ne):
-        blocks = assemble_local_blocks(disc, material, e)
-        fact = factorize_local(blocks, data.kappa, variant)
-        S[e], load_map = condense(fact)
-        loads[e] = load_map @ load_moments(disc, e, data.load())
+    S = np.empty((ne, nM, nM), dtype=complex)
+    loads = np.empty((ne, nM), dtype=complex)
+    X = np.empty((ne, n, nM), dtype=complex)
+    z = np.empty((ne, n), dtype=complex)
+    cond = np.empty(ne)
+    flags = np.empty(ne, dtype=bool)
+    for batch in element_batches(ne, block_bytes(disc)):
+        blocks = element_blocks(disc, material, batch)
+        f = load_moments(disc, batch, data.load())
+        S[batch], loads[batch], X[batch], z[batch], cond[batch] = \
+            condense_batch(blocks, data.kappa, variant, f)
+        flags[batch] = resolution_flags(data.kappa, blocks.h, blocks.wave_bound)
 
     dofs = trace_dofs(mesh, nFd).reshape(ne, -1)
     full = _scatter(dofs, dofs, S, (g.size, g.size)) + sps.diags(imp)
     rhs = g - full @ dir_values.ravel()
     np.add.at(rhs, dofs, loads)
     matrix = full[skel.dofs][:, skel.dofs]
-    return HybridSystem(matrix, rhs[skel.dofs], skel, dir_values, data.kappa, variant)
+    diagnostics = {"local_cond_min": float(cond.min()),
+                   "local_cond_median": float(np.median(cond)),
+                   "local_cond_max": float(cond.max()),
+                   "flagged_elements": int(flags.sum())}
+    return HybridSystem(matrix, rhs[skel.dofs], skel, dir_values, data.kappa, variant,
+                        disc, X, z, diagnostics)
 
 
 def solve_skeleton(system):
-    """Sparse direct solve of the condensed system; returns (nfaces, 3, nF)."""
+    """Sparse direct solve of the condensed system; returns (nfaces, 3, nF).
+
+    Adds the relative residual and the LU fill (nonzeros of L and U) to
+    system.diagnostics."""
+    # The skeleton matrix has a symmetric pattern: a minimum-degree ordering
+    # of A^T + A with diagonal pivots fills about half as much as COLAMD.
     try:
-        lu = spla.splu(system.matrix.tocsc())
+        lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
         x = lu.solve(system.rhs)
     except RuntimeError as exc:
         raise SingularSystemError(f"skeleton solve failed: {exc}") from exc
@@ -246,6 +273,7 @@ def solve_skeleton(system):
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(
             f"skeleton solve did not converge (relative residual {residual:.3e})")
+    system.diagnostics.update(skeleton_residual=float(residual), lu_fill=int(lu.nnz))
     uhat = system.dirichlet_values.copy()
     uhat[system.skeleton.active] = x.reshape(-1, *uhat.shape[1:])
     return uhat
@@ -271,27 +299,30 @@ class SolutionFields:
         return (1j / self.kappa) * self.sigma
 
 
-def reconstruct(disc, material, data, variant, uhat):
-    """Element-by-element recovery of (stress, displacement) from traces."""
+def reconstruct(system, uhat):
+    """Recovery of (stress, displacement) from the traces uhat through the
+    local solvers of the system: X m + z on every element."""
+    disc = system.disc
     mesh = disc.mesh
-    ne = mesh.num_elements
-    sigma = np.zeros((ne, 6, disc.nV), dtype=complex)
-    u = np.zeros((ne, 3, disc.nW), dtype=complex)
-    for e in range(ne):
-        blocks = assemble_local_blocks(disc, material, e)
-        fact = factorize_local(blocks, data.kappa, variant)
-        m_local = np.concatenate([uhat[fi].ravel() for fi in mesh.element_faces[e]])
-        sigma[e], u[e] = recover(fact, m_local, load_moments(disc, e, data.load()))
-    return SolutionFields(data.kappa, variant.tag, disc.k, sigma, u, uhat)
+    ne, nS = mesh.num_elements, 6 * disc.nV
+    m = uhat.reshape(mesh.num_faces, -1)[mesh.element_faces].reshape(ne, -1)
+    x = (system.solvers @ m[:, :, None])[:, :, 0] + system.interior
+    return SolutionFields(system.kappa, system.variant.tag, disc.k,
+                          x[:, :nS].reshape(ne, 6, disc.nV),
+                          x[:, nS:].reshape(ne, 3, disc.nW), uhat)
 
 
 def solve_time_harmonic(disc, material, data, variant):
-    """Assemble, solve and reconstruct. Returns (solution, info dict)."""
+    """Assemble, solve and reconstruct. Returns (solution, info dict).
+
+    info holds the sizes and phase times, the skeleton solve's relative
+    residual and LU fill, the range of the local condition numbers
+    cond(C, 1) and the number of elements with a resolution flag."""
     t0 = time.perf_counter()
     system = assemble_hybrid(disc, material, data, variant)
     t1 = time.perf_counter()
     uhat = solve_skeleton(system)
-    solution = reconstruct(disc, material, data, variant, uhat)
+    solution = reconstruct(system, uhat)
     t2 = time.perf_counter()
     ne = disc.mesh.num_elements
     info = {
@@ -300,6 +331,7 @@ def solve_time_harmonic(disc, material, data, variant):
         + disc.mesh.num_faces * 3 * disc.nF,
         "assemble_s": t1 - t0,
         "solve_s": t2 - t1,
+        **system.diagnostics,
     }
     solution.meta.update(info)
     return solution, info
@@ -333,8 +365,7 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
     is_fixed = np.repeat([f.tag == BoundaryTag.DIRICHLET for f in mesh.faces], nFd)
     keep, fix = sps.diags((~is_fixed).astype(float)), sps.diags(is_fixed.astype(float))
     T22 = sps.diags(ops.t22)
-    loads = np.concatenate([load_moments(disc, e, data.load())
-                            for e in range(mesh.num_elements)])
+    loads = load_moments(disc, np.arange(mesh.num_elements), data.load()).ravel()
     if form == "second":
         data_scale, g_scale = 1.0, 1.0
         blocks = [[ops.A, ops.D.T, -ops.N.T],

@@ -17,6 +17,11 @@ and the condensed transmission row reads
   B_out = [N, -a tau G],  B_in = [N^T; -a tau G^T].
 
 All blocks except those multiplied by alpha are real.
+
+element_blocks and condense_batch do this work for batches of elements with
+stacked array operations; the hybrid solve uses them. factorize_local,
+condense and recover treat one element through its LU factors and serve as
+the reference for the batched path.
 """
 
 from dataclasses import dataclass
@@ -58,8 +63,29 @@ CONSERVATIVE = FluxVariant("conservative")
 VARIANTS = {v.tag: v for v in (FIRST_ORDER, TIME_REVERSED, KAPPA_SCALED, CONSERVATIVE)}
 
 
+# Working memory of one element batch. Batches bound the peak memory of the
+# element kernels; the kernels' results do not depend on the batch size.
+_BATCH_BYTES = 16 * 2 ** 20
+
+
+def element_batches(ne, bytes_per_element):
+    """Consecutive index arrays covering range(ne), each within _BATCH_BYTES."""
+    size = max(1, _BATCH_BYTES // max(int(bytes_per_element), 1))
+    return [np.arange(start, min(start + size, ne)) for start in range(0, ne, size)]
+
+
+def block_bytes(disc):
+    """Upper estimate of the working memory per element of the block
+    quadrature and the local solvers."""
+    n = 6 * disc.nV + 3 * disc.nW
+    nq = len(disc.vol_rule.weights)
+    return 8 * max(4 * 36 * nq, 8 * n * n)
+
+
 @dataclass
 class LocalBlocks:
+    """Real blocks of one element, or of a batch of elements with a leading
+    element axis on every array field (element, tau, h and wave_bound too)."""
     element: int
     A: np.ndarray          # (6nV, 6nV) compliance mass
     D: np.ndarray          # (3nW, 6nV) divergence coupling
@@ -73,68 +99,104 @@ class LocalBlocks:
     nS: int
     nW3: int
     nFd: int               # 3*nF per face
+    wave_bound: float      # max of |c_A| rho over the element's quadrature points
 
     @property
     def nM(self):
         return 4 * self.nFd
 
 
+def _kron3(blocks):
+    """kron(I_3, b) for every b of a stack (..., r, c)."""
+    *lead, r, c = blocks.shape
+    out = np.zeros((*lead, 3, r, 3, c))
+    for d in range(3):
+        out[..., d, :, d, :] = blocks
+    return out.reshape(*lead, 3 * r, 3 * c)
+
+
+def resolution_bound(material, pts):
+    """max over the points (..., nq, 3) of |c_A| rho, per element."""
+    return np.max(material.compliance_bound(pts) * material.rho(pts), axis=-1)
+
+
+def element_blocks(disc, material, elements):
+    """Quadrature assembly of all real blocks for an array of elements.
+
+    Every reduction over quadrature points is a matrix product per element
+    (stacked matmul), so an element's blocks are the same bits whatever batch
+    it is assembled in. The volume blocks use the reference rule: the
+    physical weights w det J_K and the basis scaling 1/sqrt(det J_K) cancel.
+
+    Raises ValueError when the material violates mu > 0, 3 lam + 2 mu > 0 or
+    rho > 0 at a quadrature point of an element."""
+    mesh = disc.mesh
+    elements = np.asarray(elements)
+    nb = len(elements)
+    nV, nW, nF = disc.nV, disc.nW, disc.nF
+    nS, nW3, nFd = 6 * nV, 3 * nW, 3 * nF
+    wq = disc.vol_rule.weights
+    pts = disc.element_points(elements)                          # (nb, nq, 3)
+    material.validate(pts)
+
+    # A[a i, b j] = sum_q w_q W_a A_ab(x_q) phi_i phi_j
+    wa6 = FROBENIUS_WEIGHTS[:, None] * material.compliance_packed(pts)
+    phiphi = (wq[:, None, None] * disc.phi_ref[:, :, None]
+              * disc.phi_ref[:, None, :]).reshape(len(wq), nV * nV)
+    A = (np.swapaxes(wa6.reshape(nb, -1, 36), 1, 2) @ phiphi)
+    A = A.reshape(nb, 6, 6, nV, nV).transpose(0, 1, 3, 2, 4).reshape(nb, nS, nS)
+
+    # D[d j, c i] = sum_r (E_c J^-T)_{d r} sum_q w_q psi_j d_r phi_i
+    psi_dphi = np.einsum("q,qj,qir->rji", wq, disc.psi_ref, disc.dphi_ref)
+    ecj = SYM_MATS.reshape(18, 3) @ np.swapaxes(disc.jac_inv[elements], 1, 2)
+    D = ecj @ psi_dphi.reshape(3, nW * nV)                       # (nb, 18, nW nV)
+    D = D.reshape(nb, 6, 3, nW, nV).transpose(0, 2, 3, 1, 4).reshape(nb, nW3, nS)
+
+    psipsi = (wq[:, None, None] * disc.psi_ref[:, :, None]
+              * disc.psi_ref[:, None, :]).reshape(len(wq), nW * nW)
+    M = _kron3((material.rho(pts)[:, None, :] @ psipsi).reshape(nb, nW, nW))
+
+    # faces: element bases at the face quadrature points from the placement tables
+    faces = mesh.element_faces[elements]                         # (nb, 4)
+    place = disc.face_placement[elements]
+    scale = 1.0 / np.sqrt(disc.det_jac[elements])[:, None, None, None]
+    phi_f = disc.face_phi_ref[place] * scale                     # (nb, 4, nqf, nV)
+    psi_f = disc.face_psi_ref[place] * scale                     # (nb, 4, nqf, nW)
+    wchi = np.swapaxes(disc.face_weights[faces][..., None] * disc.face_chi[faces], 2, 3)
+    nquad = wchi @ phi_f                                         # (nb, 4, nF, nV)
+    g = wchi @ psi_f                                             # (nb, 4, nF, nW)
+    normals = mesh.element_face_signs[elements][..., None] * disc.face_normals[faces]
+    en = (SYM_MATS.reshape(18, 3) @ normals[..., None]).reshape(nb, 4, 6, 3)
+    N = np.einsum("bfcd,bfli->bfdlci", en, nquad).reshape(nb, 4, nFd, nS)
+    G = _kron3(g)
+    tau = disc.tau(elements)
+    T11 = tau[:, None, None] * _kron3((np.swapaxes(g, 2, 3) @ g).sum(axis=1))
+
+    return LocalBlocks(elements, A, D, M, T11, N, G, tau, disc.h[elements],
+                       faces, nS, nW3, nFd, resolution_bound(material, pts))
+
+
 def assemble_local_blocks(disc, material, e):
-    """Quadrature assembly of all real elemental blocks.
+    """Quadrature assembly of all real elemental blocks: a batch of one.
 
     Raises ValueError when the material violates mu > 0, 3 lam + 2 mu > 0 or
     rho > 0 at a quadrature point of the element."""
-    mesh = disc.mesh
-    pts, wts = disc.element_points(e), disc.element_weights(e)
-    material.validate(pts)
-    phi, dphi = disc.scalar_basis(e, "V")
-    psi, _ = disc.scalar_basis(e, "W")
-    nV, nW, nF = disc.nV, disc.nW, disc.nF
-    nS, nW3, nFd = 6 * nV, 3 * nW, 3 * nF
-
-    a6 = material.compliance_packed(pts)                       # (nq, 6, 6)
-    wa6 = FROBENIUS_WEIGHTS[None, :, None] * a6                # symmetric pairing weights
-    A = np.einsum("q,qab,qi,qj->aibj", wts, wa6, phi, phi,
-                  optimize=True).reshape(nS, nS)
-
-    ecg = np.einsum("cde,qie->qcdi", SYM_MATS, dphi)            # (E_c grad phi_i)_d
-    D = np.einsum("q,qj,qcdi->djci", wts, psi, ecg,
-                  optimize=True).reshape(nW3, nS)
-
-    rho = material.rho(pts)
-    M = np.kron(np.eye(3), np.einsum("q,qi,qj->ij", wts * rho, psi, psi))
-
-    tau = disc.tau(e)
-    N = np.zeros((4, nFd, nS))
-    G = np.zeros((4, nFd, nW3))
-    T11 = np.zeros((nW3, nW3))
-    for lf in range(4):
-        fi = mesh.element_faces[e, lf]
-        sign = mesh.element_face_signs[e, lf]
-        fd = disc.face_data(fi)
-        n = sign * mesh.faces[fi].normal
-        en = np.einsum("cde,e->cd", SYM_MATS, n)                 # (E_c n)_d
-        phi_f = disc.scalar_basis_at(e, fd.points, "V")
-        psi_f = disc.scalar_basis_at(e, fd.points, "W")
-        nquad = np.einsum("q,ql,qi->li", fd.weights, fd.chi, phi_f)
-        g = np.einsum("q,ql,qj->lj", fd.weights, fd.chi, psi_f)
-        N[lf] = np.einsum("cd,li->dlci", en, nquad).reshape(nFd, nS)
-        G[lf] = np.kron(np.eye(3), g)
-        T11 += tau * G[lf].T @ G[lf]
-
-    return LocalBlocks(e, A, D, M, T11, N, G, tau, disc.h[e],
-                       mesh.element_faces[e].copy(), nS, nW3, nFd)
+    b = element_blocks(disc, material, [e])
+    return LocalBlocks(e, b.A[0], b.D[0], b.M[0], b.T11[0], b.N[0], b.G[0],
+                       float(b.tau[0]), float(b.h[0]), b.face_ids[0].copy(),
+                       b.nS, b.nW3, b.nFd, float(b.wave_bound[0]))
 
 
 def local_matrix(blocks, kappa, variant):
-    """Local interior matrix C for the given frequency and flux variant."""
+    """Local interior matrix C for the given frequency and flux variant;
+    stacked (nb, n, n) for a batch of blocks."""
     alpha = variant.alpha(kappa)
-    nS, nW3 = blocks.nS, blocks.nW3
-    C = np.zeros((nS + nW3, nS + nW3), dtype=complex)
-    C[:nS, :nS] = blocks.A
-    C[:nS, nS:] = blocks.D.T
-    C[nS:, :nS] = blocks.D
-    C[nS:, nS:] = kappa ** 2 * blocks.M - alpha * blocks.T11
+    nS, n = blocks.nS, blocks.nS + blocks.nW3
+    C = np.zeros(blocks.A.shape[:-2] + (n, n), dtype=complex)
+    C[..., :nS, :nS] = blocks.A
+    C[..., :nS, nS:] = np.swapaxes(blocks.D, -1, -2)
+    C[..., nS:, :nS] = blocks.D
+    C[..., nS:, nS:] = kappa ** 2 * blocks.M - alpha * blocks.T11
     return C
 
 
@@ -163,27 +225,71 @@ def factorize_local(blocks, kappa, variant, material=None, disc=None):
             f"(kappa={kappa}, variant={variant.tag}, cond={cond:.3e})")
     flag = False
     if material is not None and disc is not None:
-        pts = disc.element_points(blocks.element)
-        bound = float(np.max(material.compliance_bound(pts) * material.rho(pts)))
-        flag = bool(kappa * blocks.h >= 1.0 / np.sqrt(bound))
+        bound = resolution_bound(material, disc.element_points(blocks.element))
+        flag = bool(resolution_flags(kappa, blocks.h, bound))
     return LocalFactorization(blocks, kappa, variant, variant.alpha(kappa),
                               lu_factor(C), cond, flag)
 
 
+def coupling_in(blocks, alpha):
+    """B_in = [N^T; -alpha tau G^T] of one element (n x nM) or of a batch
+    (nb, n, nM), n = nS + nW3. The outgoing coupling B_out is its transpose."""
+    lead = blocks.N.shape[:-3]
+    N = blocks.N.reshape(*lead, blocks.nM, blocks.nS)
+    G = blocks.G.reshape(*lead, blocks.nM, blocks.nW3)
+    at = alpha * np.asarray(blocks.tau)[..., None, None]
+    return np.concatenate([np.swapaxes(N, -1, -2).astype(complex),
+                           -at * np.swapaxes(G, -1, -2)], axis=-2)
+
+
 def _coupling(fact):
-    """B_in ((nS+nW3) x nM) and B_out (nM x (nS+nW3))."""
-    b = fact.blocks
-    n_all = b.nS + b.nW3
-    B_in = np.zeros((n_all, b.nM), dtype=complex)
-    B_out = np.zeros((b.nM, n_all), dtype=complex)
-    at = fact.alpha * b.tau
-    for lf in range(4):
-        cols = slice(lf * b.nFd, (lf + 1) * b.nFd)
-        B_in[:b.nS, cols] = b.N[lf].T
-        B_in[b.nS:, cols] = -at * b.G[lf].T
-        B_out[cols, :b.nS] = b.N[lf]
-        B_out[cols, b.nS:] = -at * b.G[lf]
-    return B_in, B_out
+    """B_in ((nS+nW3) x nM) and B_out = B_in^T (nM x (nS+nW3))."""
+    B_in = coupling_in(fact.blocks, fact.alpha)
+    return B_in, B_in.T
+
+
+def condense_batch(blocks, kappa, variant, f):
+    """Static condensation of an element batch, keeping its local solvers.
+
+    blocks carry a leading element axis and f holds the load moments
+    (nb, 3nW). One stacked inverse of the local matrices C gives everything:
+
+      S     (nb, nM, nM)  condensed blocks B_out C^-1 B_in + alpha tau I
+      loads (nb, nM)      -B_out C^-1 [0; f]
+      X     (nb, n, nM)   C^-1 B_in, the interior response to the traces
+      z     (nb, n)       C^-1 [0; f], so interior unknowns are X m + z
+      cond  (nb,)         ||C||_1 ||C^-1||_1, as np.linalg.cond(C, 1)
+
+    Raises SingularLocalSolverError as factorize_local does."""
+    alpha = variant.alpha(kappa)
+    C = local_matrix(blocks, kappa, variant)
+    try:
+        Cinv = np.linalg.inv(C)
+    except np.linalg.LinAlgError:
+        Cinv = np.full_like(C, np.nan)
+    norm1 = lambda mats: np.abs(mats).sum(axis=1).max(axis=1)
+    cond = norm1(C) * norm1(Cinv)
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise SingularLocalSolverError(
+            f"local solver is singular on element {blocks.element[i]} "
+            f"(kappa={kappa}, variant={variant.tag}, cond={cond[i]:.3e})")
+    B_in = coupling_in(blocks, alpha)
+    X = Cinv @ B_in
+    z = (Cinv[:, :, blocks.nS:] @ np.asarray(f, dtype=complex)[:, :, None])[:, :, 0]
+    B_out = np.swapaxes(B_in, 1, 2)
+    S = B_out @ X
+    diag = np.arange(blocks.nM)
+    S[:, diag, diag] += alpha * blocks.tau[:, None]
+    loads = -(B_out @ z[:, :, None])[:, :, 0]
+    return S, loads, X, z, cond
+
+
+def resolution_flags(kappa, h, wave_bound):
+    """True where kappa h_K >= 1/sqrt(max |c_A| rho), the regime where local
+    well-posedness is no longer guaranteed a priori."""
+    return kappa * np.asarray(h) >= 1.0 / np.sqrt(wave_bound)
 
 
 def condense(fact):

@@ -52,14 +52,12 @@ class TimeState:
 def initial_state(system, u0, v0):
     """Project initial displacement and velocity; traces start at P_M u0, P_M v0."""
     disc = system.disc
-    ne = disc.mesh.num_elements
-    u = np.concatenate([disc.project_w(e, u0).ravel() for e in range(ne)])
-    v = np.concatenate([disc.project_w(e, v0).ravel() for e in range(ne)])
+    elements = np.arange(disc.mesh.num_elements)
+    u = disc.project_w(elements, u0).ravel()
+    v = disc.project_w(elements, v0).ravel()
     if system.flux == "conservative":
         return TimeState(0.0, u, v)
-    m = np.zeros(system.nm)
-    for fi in system.skeleton.active:
-        m[system.skeleton.face_dofs(fi)] = disc.project_face(fi, u0).ravel().real
+    m = disc.project_face(system.skeleton.active, u0).ravel().real
     return TimeState(0.0, u, v, m)
 
 

@@ -1,0 +1,64 @@
+"""Results must not depend on the BLAS thread count beyond roundoff."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r"""
+import ctypes, glob, json, os, sys
+import numpy as np
+from hdg_elastic import (VARIANTS, Discretization, build_structured_cube,
+                         compute_errors, make_case, problem_data_from_case,
+                         solve_time_harmonic, tag_boundary)
+
+def blas_threads():
+    # OpenBLAS bundled with numpy wheels; None where it cannot be found
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs",
+                                  "libscipy_openblas*"))
+    for path in libs:
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if fn is not None:
+            return fn()
+    return None
+
+case = make_case("varcoeff", kappa=1.0)
+disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
+sol, _ = solve_time_harmonic(disc, case.material, problem_data_from_case(case),
+                             VARIANTS["first_order"])
+report = compute_errors(disc, case.material, case, sol)
+np.savez(sys.argv[1], sigma=sol.sigma, u=sol.u, uhat=sol.uhat)
+print(json.dumps({"threads": blas_threads(),
+                  "errors": [report.err_u, report.err_sigma, report.rel_err_u,
+                             report.rel_err_sigma, report.err_trace]}))
+"""
+
+
+def _run(tmp_path, threads):
+    out = tmp_path / f"threads{threads}.npz"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["threads"] is not None:
+        assert result["threads"] == threads
+    with np.load(out) as arrays:
+        return result["errors"], {k: arrays[k] for k in arrays.files}
+
+
+def test_first_order_solve_independent_of_blas_threads(tmp_path):
+    errors1, fields1 = _run(tmp_path, 1)
+    errors2, fields2 = _run(tmp_path, 2)
+    for a, b in zip(errors1, errors2):
+        assert abs(a - b) <= 1e-12 * abs(a)
+    for name, a in fields1.items():
+        b = fields2[name]
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), name
