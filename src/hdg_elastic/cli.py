@@ -41,15 +41,9 @@ DEFAULT_HK = math.sqrt(3.0) / 10.0
 
 
 def _case_for(test, kappa, k):
-    if test == "varcoeff":
-        return make_case("varcoeff", kappa=kappa)
-    if test in ("pwave", "swave"):
-        return make_case(test, kappa=kappa)
-    if test == "polynomial":
-        return make_case("polynomial", kappa=kappa, k=k)
-    if test == "hk-const":
-        return make_case("pwave", kappa=kappa)
-    raise ValueError(f"unknown test {test!r}")
+    if test not in _DEFAULT_BC:
+        raise ValueError(f"unknown test {test!r}")
+    return make_case("pwave" if test == "hk-const" else test, kappa=kappa, k=k)
 
 
 def run_experiment(test, variant_name, k, ns, kappa=1.0, hk=DEFAULT_HK,
@@ -62,10 +56,12 @@ def run_experiment(test, variant_name, k, ns, kappa=1.0, hk=DEFAULT_HK,
     rows = []
     hs, errs_u, errs_s = [], [], []
     oracle_report = None
+    case = None
     for idx, n in enumerate(ns):
         h = math.sqrt(3.0) / n
         kap = hk / h if test == "hk-const" else kappa
-        case = _case_for(test, kap, k)
+        if case is None or case.kappa != kap:   # only hk-const changes kappa
+            case = _case_for(test, kap, k)
         mesh = tag_boundary(build_structured_cube(n), bc)
         disc = Discretization(mesh, k)
         data = problem_data_from_case(case)

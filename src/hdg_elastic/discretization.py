@@ -19,17 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SimplexBasis
+from .mesh import LOCAL_FACES, face_normal_area, row_dot
 from .quadrature import simplex_rule
+
+_EDGES = np.triu_indices(4, 1)   # the six vertex pairs of a tetrahedron
 
 
 @dataclass(frozen=True)
 class FaceData:
+    """One face's quadrature: views into the Discretization's face arrays."""
     points: np.ndarray    # (nq, 3) physical quadrature points
     weights: np.ndarray   # (nq,) physical weights (sum to face area)
     chi: np.ndarray       # (nq, nF) orthonormal face basis values
-    chart_origin: np.ndarray
-    chart_jac: np.ndarray  # (3, 2)
-    scale: float           # 1/sqrt(2*area)
 
 
 def _evaluate(field, pts):
@@ -64,33 +65,33 @@ class Discretization:
         self.psi_ref, self.dpsi_ref = self.tet_basis_w.eval(self.vol_rule.points)
         self.chi_ref, _ = self.tri_basis.eval(self.face_rule.points)
 
-        ne = mesh.num_elements
-        self.jac = np.empty((ne, 3, 3))
-        self.jac_inv = np.empty((ne, 3, 3))
-        self.det_jac = np.empty(ne)
-        self.h = np.empty(ne)
-        for e in range(ne):
-            v = mesh.element_vertices(e)
-            J = (v[1:] - v[0]).T
-            self.jac[e] = J
-            self.jac_inv[e] = np.linalg.inv(J)
-            self.det_jac[e] = np.linalg.det(J)
-            self.h[e] = mesh.element_diameter(e)
+        verts = mesh.vertices[mesh.elements]                                   # (ne, 4, 3)
+        self.v0 = verts[:, 0]
+        self.jac = np.ascontiguousarray(np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2))
+        self.det_jac = np.linalg.det(self.jac)
         if np.any(self.det_jac <= 0):
             raise ValueError("mesh contains non-positively oriented elements")
+        self.jac_inv = np.linalg.inv(self.jac)
+        edges = verts[:, _EDGES[0]] - verts[:, _EDGES[1]]
+        self.h = np.sqrt(row_dot(edges, edges)).max(axis=1)                # diameters
 
-        self.v0 = mesh.vertices[mesh.elements[:, 0]]             # (ne, 3)
-        self._face_data = [self._build_face_data(fi) for fi in range(mesh.num_faces)]
-        self.face_points = np.stack([fd.points for fd in self._face_data])    # (nf, nq, 3)
-        self.face_weights = np.stack([fd.weights for fd in self._face_data])  # (nf, nq)
-        self.face_chi = np.stack([fd.chi for fd in self._face_data])          # (nf, nq, nF)
-        self.face_normals = np.array([f.normal for f in mesh.faces])          # (nf, 3)
+        # Faces: chart x = va + J (s, t) over the sorted vertex triple (va, vb, vc).
+        triples = np.sort(mesh.elements[:, LOCAL_FACES], axis=-1)             # (ne, 4, 3)
+        face_vertices = np.empty((mesh.num_faces, 3), dtype=int)
+        face_vertices[mesh.element_faces] = triples
+        va, vb, vc = np.moveaxis(mesh.vertices[face_vertices], 1, 0)
+        self.face_normals, area = face_normal_area(va, vb, vc)                # (nf, 3), (nf,)
+        self.face_origin = va
+        self.face_jac = np.stack([vb - va, vc - va], axis=-1)                 # (nf, 3, 2)
+        self.face_points = va[:, None] + self.face_rule.points @ np.swapaxes(self.face_jac, 1, 2)
+        self.face_weights = self.face_rule.weights * (2.0 * area)[:, None]    # (nf, nq)
+        self.face_scale = 1.0 / np.sqrt(2.0 * area)
+        self.face_chi = self.chi_ref * self.face_scale[:, None, None]         # (nf, nq, nF)
 
         # The element reference coordinates of a face's quadrature points
         # depend only on where the face's sorted vertex triple sits among the
         # element's vertices: placement 16 p0 + 4 p1 + p2 for local vertex
         # positions p. The element bases are tabulated for all 64 placements.
-        triples = np.array([f.vertices for f in mesh.faces])[mesh.element_faces]
         pos = np.argmax(mesh.elements[:, None, None, :] == triples[..., None], axis=-1)
         self.face_placement = pos @ np.array([16, 4, 1])                       # (ne, 4)
         corners = np.vstack([np.zeros(3), np.eye(3)])[
@@ -103,26 +104,27 @@ class Discretization:
 
     # ---- faces ----
 
-    def _build_face_data(self, fi):
-        face = self.mesh.faces[fi]
-        va, vb, vc = (self.mesh.vertices[v] for v in face.vertices)
-        jac = np.column_stack([vb - va, vc - va])
-        pts = va + self.face_rule.points @ jac.T
-        wts = self.face_rule.weights * (2.0 * face.area)
-        scale = 1.0 / np.sqrt(2.0 * face.area)
-        chi = self.chi_ref * scale
-        return FaceData(pts, wts, chi, va, jac, scale)
-
     def face_data(self, fi):
-        return self._face_data[fi]
+        return FaceData(self.face_points[fi], self.face_weights[fi], self.face_chi[fi])
 
     def face_basis_at(self, fi, phys_points):
         """Orthonormal face basis values at physical points on face fi."""
-        fd = self._face_data[fi]
         # least-squares chart inversion (points assumed on the face plane)
-        ref = np.linalg.lstsq(fd.chart_jac, (phys_points - fd.chart_origin).T, rcond=None)[0].T
+        ref = np.linalg.lstsq(self.face_jac[fi], (phys_points - self.face_origin[fi]).T,
+                              rcond=None)[0].T
         vals, _ = self.tri_basis.eval(ref)
-        return vals * fd.scale
+        return vals * self.face_scale[fi]
+
+    def element_face_tables(self, e, lf):
+        """Element V and W basis values at the quadrature points of local
+        face lf of element e, (..., nq, nV) and (..., nq, nW), and the outward
+        unit normal there, (..., 3). e and lf are index arrays that broadcast
+        together; the values come from the placement tables."""
+        place = self.face_placement[e, lf]
+        scale = 1.0 / np.sqrt(self.det_jac[e])[..., None, None]
+        normals = (self.mesh.element_face_signs[e, lf][..., None]
+                   * self.face_normals[self.mesh.element_faces[e, lf]])
+        return self.face_phi_ref[place] * scale, self.face_psi_ref[place] * scale, normals
 
     # ---- elements ----
     # element_points, element_weights, scalar_basis, tau and the projections
@@ -149,8 +151,7 @@ class Discretization:
     def scalar_basis_at(self, e, phys_points, which):
         """Element scalar basis values at arbitrary physical points."""
         basis = self.tet_basis_v if which == "V" else self.tet_basis_w
-        v0 = self.mesh.element_vertices(e)[0]
-        ref = (np.asarray(phys_points) - v0) @ self.jac_inv[e].T
+        ref = (np.asarray(phys_points) - self.v0[e]) @ self.jac_inv[e].T
         vals, _ = basis.eval(ref)
         return vals / np.sqrt(self.det_jac[e])
 

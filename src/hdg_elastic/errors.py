@@ -12,9 +12,11 @@ import numpy as np
 
 from .discretization import Discretization
 from .global_system import ProblemData, solve_time_harmonic
-from .local_ops import VARIANTS, assemble_local_blocks, element_batches
+from .local_ops import VARIANTS, block_bytes, element_batches, element_blocks
+# unused here; perfbench/tracing.py wraps it through this module's binding
+from .local_ops import assemble_local_blocks  # noqa: F401
 from .materials import FROBENIUS_WEIGHTS, SYM_MATS, pack_sym
-from .mesh import build_structured_cube, tag_boundary
+from .mesh import BoundaryTag, build_structured_cube, tag_boundary
 
 
 @dataclass(frozen=True)
@@ -94,57 +96,56 @@ def energy_identity_sides(disc, material, case, solution):
     e = (projection - discrete),
 
       LHS = i k (||e_s||_A^2 - ||e_u||_rho^2) + ||P_M e_u - e_mhat||_tau^2
+            + ||e_mhat||^2 on the impedance boundary
       RHS = i k ((A eps_s, conj e_s) - (rho conj eps_u, e_u))
             + <conj(eps_s) n, e_u - e_mhat> + <tau conj(eps_u), P_M e_u - e_mhat>
 
     All terms are evaluated with the quadrature of the discretization used
     for the solve, so the identity holds to roundoff once the quadrature
-    resolves the exact fields."""
+    resolves the exact fields. A, M, G and tau come from element_blocks."""
     mesh = disc.mesh
-    kappa = case.kappa
-    sigma_fo = case.first_order_stress
-    lhs = 0.0 + 0.0j
-    rhs = 0.0 + 0.0j
-    for e in range(mesh.num_elements):
-        b = assemble_local_blocks(disc, material, e)
-        proj_s = disc.project_v(e, sigma_fo)
-        proj_u = disc.project_w(e, case.u)
-        e_s = proj_s - (1j / kappa) * solution.sigma[e]
-        e_u = proj_u - solution.u[e]
-        lhs += 1j * kappa * (np.vdot(e_s.ravel(), b.A @ e_s.ravel())
-                             - np.vdot(e_u.ravel(), b.M @ e_u.ravel()))
-        pts, wts = disc.element_points(e), disc.element_weights(e)
-        eps_s = disc.eval_v_packed(e, proj_s, pts) - pack_sym(sigma_fo(pts))
-        eps_u = disc.eval_w(e, proj_u, pts) - case.u(pts)
-        e_s_val = disc.eval_v_packed(e, e_s, pts)
-        e_u_val = disc.eval_w(e, e_u, pts)
-        a6 = material.compliance_packed(pts)
-        rho = material.rho(pts)
+    kappa, sigma_fo = case.kappa, case.first_order_stress
+    at = lambda coeffs, table: np.einsum("bci,b...i->b...c", coeffs, table)
+    # exact traces at the face quadrature points and e_mhat, once per face
+    u_face = case.u(disc.face_points)
+    s_face = pack_sym(sigma_fo(disc.face_points))
+    e_mhat = np.einsum("fq,fqd,fql->fdl", disc.face_weights, u_face, disc.face_chi) \
+        - solution.uhat
+    lhs = np.sum(np.abs(e_mhat[mesh.face_tags == BoundaryTag.IMPEDANCE]) ** 2) + 0.0j
+    rhs = 0.0
+    # doubles per volume and face point: exact, projected and discrete fields
+    # with their errors, the pointwise compliance, temporaries, basis values
+    point_bytes = 8 * (len(disc.vol_rule.weights) * (250 + disc.nV + disc.nW)
+                       + 4 * disc.face_weights.shape[1] * (100 + disc.nV + disc.nW + disc.nF))
+    for batch in element_batches(mesh.num_elements, point_bytes + block_bytes(disc)):
+        b = element_blocks(disc, material, batch)
+        pts, wts = disc.element_points(batch), disc.element_weights(batch)
+        phi, psi = disc.scalar_basis(batch, "V")[0], disc.scalar_basis(batch, "W")[0]
+        s_ex, u_ex = pack_sym(sigma_fo(pts)), case.u(pts)
+        proj_s = np.einsum("bq,bqc,bqi->bci", wts, s_ex, phi)
+        proj_u = np.einsum("bq,bqd,bqj->bdj", wts, u_ex, psi)
+        e_s = proj_s - (1j / kappa) * solution.sigma[batch]
+        e_u = proj_u - solution.u[batch]
+        es, eu = e_s.reshape(len(batch), -1, 1), e_u.reshape(len(batch), -1, 1)
+        lhs += 1j * kappa * (np.vdot(es, b.A @ es) - np.vdot(eu, b.M @ eu))
         rhs += 1j * kappa * (
-            np.sum(wts * np.einsum("c,qcd,qd,qc->q", FROBENIUS_WEIGHTS, a6,
-                                   eps_s, np.conj(e_s_val), optimize=True))
-            - np.sum(wts * rho * np.sum(np.conj(eps_u) * e_u_val, axis=-1)))
-        tau = disc.tau(e)
-        for lf in range(4):
-            fi = mesh.element_faces[e, lf]
-            fd = disc.face_data(fi)
-            n = mesh.element_face_signs[e, lf] * mesh.faces[fi].normal
-            en = np.einsum("cde,e->cd", SYM_MATS, n)
-            pm_u = disc.project_face(fi, case.u)
-            e_mhat = pm_u - solution.uhat[fi]
-            lhs += tau * np.sum(np.abs(b.G[lf] @ e_u.ravel() - e_mhat.ravel()) ** 2)
-            eps_s_f = disc.eval_v_packed(e, proj_s, fd.points) \
-                - pack_sym(sigma_fo(fd.points))
-            eps_u_f = disc.eval_w(e, proj_u, fd.points) - case.u(fd.points)
-            e_u_f = disc.eval_w(e, e_u, fd.points)
-            e_mhat_f = disc.eval_face(fi, e_mhat, fd.points)
-            pm_e_u_f = disc.eval_face(fi, (b.G[lf] @ e_u.ravel()).reshape(3, -1),
-                                      fd.points)
-            trac = np.conj(eps_s_f) @ en    # (nq, 3): conj(eps_s) n
-            rhs += np.sum(fd.weights * np.sum(trac * (e_u_f - e_mhat_f), axis=-1))
-            rhs += tau * np.sum(fd.weights *
-                                np.sum(np.conj(eps_u_f) * (pm_e_u_f - e_mhat_f),
-                                       axis=-1))
+            np.einsum("bq,c,bqcd,bqd,bqc->", wts, FROBENIUS_WEIGHTS,
+                      material.compliance_packed(pts), at(proj_s, phi) - s_ex,
+                      np.conj(at(e_s, phi)), optimize=True)
+            - np.einsum("bq,bqd,bqd->", wts * material.rho(pts),
+                        np.conj(at(proj_u, psi) - u_ex), at(e_u, psi)))
+
+        faces = mesh.element_faces[batch]                           # (nb, 4)
+        phi_f, psi_f, normals = disc.element_face_tables(batch[:, None], np.arange(4))
+        wf, chi_f = disc.face_weights[faces], disc.face_chi[faces]
+        face_at = lambda coeffs: np.einsum("bfdl,bfql->bfqd", coeffs, chi_f)
+        jump = (b.G @ eu[:, None]).reshape(len(batch), 4, 3, -1) - e_mhat[faces]
+        lhs += np.sum(b.tau * np.sum(np.abs(jump) ** 2, axis=(1, 2, 3)))
+        trac = np.einsum("bfqc,cde,bfe->bfqd", np.conj(at(proj_s, phi_f) - s_face[faces]),
+                         SYM_MATS, normals)
+        rhs += np.einsum("bfq,bfqd,bfqd->", wf, trac, at(e_u, psi_f) - face_at(e_mhat[faces]))
+        rhs += np.einsum("b,bfq,bfqd,bfqd->", b.tau, wf,
+                         np.conj(at(proj_u, psi_f) - u_face[faces]), face_at(jump))
     return lhs, rhs
 
 

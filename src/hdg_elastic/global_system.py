@@ -54,14 +54,21 @@ class ProblemData:
     f is the volume load of the second-order equation; g_d, g_n, g_r are the
     Dirichlet, traction and impedance data, the last for the condition
     sigma n + i kappa u = g_r. Omitted fields default to zero.
-    f and g_d are callables of points (..., 3); g_n and g_r take
-    (points, outward unit normal of the boundary face).
+    f and g_d are callables of points (..., 3). g_n and g_r are called as
+    g(x, n) with points x of shape (P, 3) and the outward unit normals n of
+    shape (P, 3), one per point, and return (P, 3).
+
+    Raises ValueError for a kappa that is NaN, infinite or negative.
     """
     kappa: float
     f: callable = None
     g_d: callable = None
     g_n: callable = None
     g_r: callable = None
+
+    def __post_init__(self):
+        if not np.isfinite(self.kappa) or self.kappa < 0:
+            raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
 
     def load(self):
         return self.f if self.f is not None else _zero_vector_field
@@ -99,8 +106,7 @@ class SkeletonMap:
 
     def __init__(self, mesh, nFd):
         self.nFd = nFd
-        self.active = np.array([fi for fi, f in enumerate(mesh.faces)
-                                if f.tag != BoundaryTag.DIRICHLET], dtype=int)
+        self.active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
         self.offset = {fi: i * nFd for i, fi in enumerate(self.active)}
         self.ndof = len(self.active) * nFd
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
@@ -151,10 +157,9 @@ def global_operators(disc, material):
 
 def solve_dirichlet_trace(disc, g_d):
     """Face-wise projection of the Dirichlet datum; zeros on other faces."""
-    mesh = disc.mesh
-    values = np.zeros((mesh.num_faces, 3, disc.nF), dtype=complex)
-    fixed = np.array([f.tag == BoundaryTag.DIRICHLET for f in mesh.faces])
-    values[fixed] = disc.project_face(np.flatnonzero(fixed), g_d)
+    values = np.zeros((disc.mesh.num_faces, 3, disc.nF), dtype=complex)
+    fixed = np.flatnonzero(disc.mesh.face_tags == BoundaryTag.DIRICHLET)
+    values[fixed] = disc.project_face(fixed, g_d)
     return values
 
 
@@ -170,24 +175,22 @@ def boundary_data(disc, data):
     Returns (g, imp): g holds the moments <g_n(x, n), mu> on Neumann faces and
     <g_r(x, n), mu> on impedance faces, with n the outward unit normal; imp is
     the diagonal i kappa of the impedance condition sigma n + i kappa u = g_r
-    on impedance faces. Both are zero on all other faces."""
+    on impedance faces. Both are zero on all other faces. Each datum is
+    called once, on all faces with its tag."""
     mesh = disc.mesh
-    nFd = 3 * disc.nF
-    g = np.zeros((mesh.num_faces, nFd), dtype=complex)
-    imp = np.zeros((mesh.num_faces, nFd), dtype=complex)
-    for fi, face in enumerate(mesh.faces):
-        if face.tag == BoundaryTag.NEUMANN:
-            datum = data.neumann()
-        elif face.tag == BoundaryTag.IMPEDANCE:
-            datum = data.impedance()
-            imp[fi] = 1j * data.kappa
-        else:
-            continue
-        fd = disc.face_data(fi)
-        lf = int(np.flatnonzero(mesh.element_faces[face.owner] == fi)[0])
-        n = mesh.element_face_signs[face.owner, lf] * face.normal
-        vals = np.asarray(datum(fd.points, n))
-        g[fi] = np.einsum("q,qd,ql->dl", fd.weights, vals, fd.chi).ravel()
+    tags = mesh.face_tags
+    g = np.zeros((mesh.num_faces, 3 * disc.nF), dtype=complex)
+    imp = np.zeros_like(g)
+    imp[tags == BoundaryTag.IMPEDANCE] = 1j * data.kappa
+    # a boundary face has one element: the first (element, local face) slot naming it
+    owner, lf = np.divmod(np.unique(mesh.element_faces, return_index=True)[1], 4)
+    for tag, datum in ((BoundaryTag.NEUMANN, data.neumann()),
+                       (BoundaryTag.IMPEDANCE, data.impedance())):
+        faces = np.flatnonzero(tags == tag)
+        if faces.size:
+            _, _, normals = disc.element_face_tables(owner[faces], lf[faces])
+            n = np.repeat(normals, disc.face_weights.shape[1], axis=0)
+            g[faces] = disc.project_face(faces, lambda x: datum(x, n)).reshape(len(faces), -1)
     return g.ravel(), imp.ravel()
 
 
@@ -218,7 +221,7 @@ def assemble_hybrid(disc, material, data, variant):
     RuntimeWarning."""
     mesh = disc.mesh
     if (np.imag(variant.alpha(data.kappa)) < 0
-            and any(f.tag == BoundaryTag.IMPEDANCE for f in mesh.faces)):
+            and np.any(mesh.face_tags == BoundaryTag.IMPEDANCE)):
         warnings.warn(
             f"flux variant {variant.tag!r} has Im(alpha) < 0 on impedance "
             "faces: its stabilization and the impedance term enter the "
@@ -312,12 +315,23 @@ def reconstruct(system, uhat):
                           x[:, nS:].reshape(ne, 3, disc.nW), uhat)
 
 
+def _check_solvable(mesh, kappa):
+    """Reject static pure traction: at kappa = 0 with no Dirichlet face
+    (impedance faces are traction faces there) the displacement is
+    determined only up to a rigid motion."""
+    if kappa == 0 and not np.any(mesh.face_tags == BoundaryTag.DIRICHLET):
+        raise ValueError("static pure-traction problem (kappa = 0, no Dirichlet face): "
+                         "the displacement is determined only up to a rigid motion")
+
+
 def solve_time_harmonic(disc, material, data, variant):
     """Assemble, solve and reconstruct. Returns (solution, info dict).
 
     info holds the sizes and phase times, the skeleton solve's relative
     residual and LU fill, the range of the local condition numbers
-    cond(C, 1) and the number of elements with a resolution flag."""
+    cond(C, 1) and the number of elements with a resolution flag.
+    Raises ValueError for a static pure-traction problem."""
+    _check_solvable(disc.mesh, data.kappa)
     t0 = time.perf_counter()
     system = assemble_hybrid(disc, material, data, variant)
     t1 = time.perf_counter()
@@ -353,7 +367,7 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
     if form == "first":
         if kappa == 0:
             raise ValueError("first-order form requires kappa != 0")
-        if any(f.tag == BoundaryTag.IMPEDANCE for f in mesh.faces):
+        if np.any(mesh.face_tags == BoundaryTag.IMPEDANCE):
             raise ValueError("impedance oracle implemented for the second-order form")
     else:
         variant = variant if variant is not None else VARIANTS["first_order"]
@@ -362,7 +376,7 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
     g, imp = boundary_data(disc, data)
     fixed = solve_dirichlet_trace(disc, data.dirichlet())
     nS, nW3, nFd = 6 * disc.nV, 3 * disc.nW, 3 * disc.nF
-    is_fixed = np.repeat([f.tag == BoundaryTag.DIRICHLET for f in mesh.faces], nFd)
+    is_fixed = np.repeat(mesh.face_tags == BoundaryTag.DIRICHLET, nFd)
     keep, fix = sps.diags((~is_fixed).astype(float)), sps.diags(is_fixed.astype(float))
     T22 = sps.diags(ops.t22)
     loads = load_moments(disc, np.arange(mesh.num_elements), data.load()).ravel()
@@ -387,7 +401,10 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
 
 
 def solve_monolithic(disc, material, data, variant=None, form="second"):
-    """Direct solve of the uncondensed system; returns SolutionFields."""
+    """Direct solve of the uncondensed system; returns SolutionFields.
+
+    Raises ValueError for a static pure-traction problem."""
+    _check_solvable(disc.mesh, data.kappa)
     mat, rhs, layout = assemble_monolithic(disc, material, data, variant, form)
     nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
     x = spla.spsolve(mat.tocsc(), rhs)

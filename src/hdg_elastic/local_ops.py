@@ -95,7 +95,6 @@ class LocalBlocks:
     G: np.ndarray          # (4, 3nF, 3nW) face projection of the W trace
     tau: float
     h: float
-    face_ids: np.ndarray   # (4,)
     nS: int
     nW3: int
     nFd: int               # 3*nF per face
@@ -156,16 +155,11 @@ def element_blocks(disc, material, elements):
               * disc.psi_ref[:, None, :]).reshape(len(wq), nW * nW)
     M = _kron3((material.rho(pts)[:, None, :] @ psipsi).reshape(nb, nW, nW))
 
-    # faces: element bases at the face quadrature points from the placement tables
     faces = mesh.element_faces[elements]                         # (nb, 4)
-    place = disc.face_placement[elements]
-    scale = 1.0 / np.sqrt(disc.det_jac[elements])[:, None, None, None]
-    phi_f = disc.face_phi_ref[place] * scale                     # (nb, 4, nqf, nV)
-    psi_f = disc.face_psi_ref[place] * scale                     # (nb, 4, nqf, nW)
+    phi_f, psi_f, normals = disc.element_face_tables(elements[:, None], np.arange(4))
     wchi = np.swapaxes(disc.face_weights[faces][..., None] * disc.face_chi[faces], 2, 3)
     nquad = wchi @ phi_f                                         # (nb, 4, nF, nV)
     g = wchi @ psi_f                                             # (nb, 4, nF, nW)
-    normals = mesh.element_face_signs[elements][..., None] * disc.face_normals[faces]
     en = (SYM_MATS.reshape(18, 3) @ normals[..., None]).reshape(nb, 4, 6, 3)
     N = np.einsum("bfcd,bfli->bfdlci", en, nquad).reshape(nb, 4, nFd, nS)
     G = _kron3(g)
@@ -173,7 +167,7 @@ def element_blocks(disc, material, elements):
     T11 = tau[:, None, None] * _kron3((np.swapaxes(g, 2, 3) @ g).sum(axis=1))
 
     return LocalBlocks(elements, A, D, M, T11, N, G, tau, disc.h[elements],
-                       faces, nS, nW3, nFd, resolution_bound(material, pts))
+                       nS, nW3, nFd, resolution_bound(material, pts))
 
 
 def assemble_local_blocks(disc, material, e):
@@ -183,8 +177,7 @@ def assemble_local_blocks(disc, material, e):
     rho > 0 at a quadrature point of the element."""
     b = element_blocks(disc, material, [e])
     return LocalBlocks(e, b.A[0], b.D[0], b.M[0], b.T11[0], b.N[0], b.G[0],
-                       float(b.tau[0]), float(b.h[0]), b.face_ids[0].copy(),
-                       b.nS, b.nW3, b.nFd, float(b.wave_bound[0]))
+                       float(b.tau[0]), float(b.h[0]), b.nS, b.nW3, b.nFd, float(b.wave_bound[0]))
 
 
 def local_matrix(blocks, kappa, variant):

@@ -17,9 +17,10 @@ _GEOM_TOL = 1e-12
 # corner ids of a subcube: bit0 = x, bit1 = y, bit2 = z.
 # Six paths 0 -> 7 along coordinate increments; all tets share edge (0,7).
 _KUHN_PERMS = [(1, 2, 4), (1, 4, 2), (2, 1, 4), (2, 4, 1), (4, 1, 2), (4, 2, 1)]
+_KUHN_TETS = np.array([(0, p1, p1 + p2, 7) for p1, p2, _ in _KUHN_PERMS])
 
 # local face f is opposite local vertex f
-LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 
 
 class BoundaryTag(IntEnum):
@@ -55,22 +56,32 @@ class Mesh:
     def num_faces(self):
         return len(self.faces)
 
-    def element_vertices(self, e):
-        return self.vertices[self.elements[e]]
-
-    def element_volume(self, e):
-        v = self.element_vertices(e)
-        return np.linalg.det(v[1:] - v[0]) / 6.0
-
-    def element_diameter(self, e):
-        v = self.element_vertices(e)
-        return max(np.linalg.norm(v[i] - v[j]) for i in range(4) for j in range(i + 1, 4))
+    @property
+    def face_tags(self):
+        """(nf,) BoundaryTag values of the faces."""
+        return np.array([f.tag for f in self.faces], dtype=int)
 
 
-def _face_normal_area(va, vb, vc):
+def row_dot(a, b):
+    """Dot products of the rows of a and b (..., 3), summed as np.dot sums."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def face_normal_area(va, vb, vc):
+    """Unit normals and areas of triangles with vertex arrays (..., 3); the
+    normal follows the vertex order."""
     cr = np.cross(vb - va, vc - va)
-    area = 0.5 * np.linalg.norm(cr)
-    return cr / np.linalg.norm(cr), area
+    norm = np.sqrt(row_dot(cr, cr))
+    return cr / norm[..., None], 0.5 * norm
+
+
+def _outward_normals(vertices, elements):
+    """Unit outward normals (..., 4, 3) of elements (..., 4) on their local
+    faces, from geometry."""
+    tri = vertices[elements[..., LOCAL_FACES]]                    # (..., 4, 3, 3)
+    n, _ = face_normal_area(tri[..., 0, :], tri[..., 1, :], tri[..., 2, :])
+    inward = row_dot(n, vertices[elements] - tri[..., 0, :]) > 0
+    return np.where(inward[..., None], -n, n)
 
 
 def outward_normal(mesh, e, local_face):
@@ -79,54 +90,34 @@ def outward_normal(mesh, e, local_face):
         raise IndexError(f"element index {e} out of range")
     if not 0 <= local_face < 4:
         raise IndexError(f"local face index {local_face} out of range")
-    verts = mesh.elements[e]
-    tri = [verts[i] for i in LOCAL_FACES[local_face]]
-    va, vb, vc = (mesh.vertices[v] for v in tri)
-    n, _ = _face_normal_area(va, vb, vc)
-    opp = mesh.vertices[verts[local_face]]
-    if np.dot(n, opp - va) > 0:
-        n = -n
-    return n
+    return _outward_normals(mesh.vertices, mesh.elements[e])[local_face]
 
 
 def _build_faces(vertices, elements):
-    incidence = {}
-    for e, verts in enumerate(elements):
-        for lf, idx in enumerate(LOCAL_FACES):
-            key = tuple(sorted(int(verts[i]) for i in idx))
-            incidence.setdefault(key, []).append((e, lf))
-    keys = sorted(incidence)
-    faces = []
-    ne = len(elements)
-    element_faces = np.full((ne, 4), -1, dtype=int)
-    element_face_signs = np.zeros((ne, 4), dtype=int)
-    for fi, key in enumerate(keys):
-        inc = incidence[key]
-        if len(inc) > 2:
-            raise ValueError(f"face {key} shared by more than two elements")
-        va, vb, vc = (vertices[v] for v in key)
-        normal, area = _face_normal_area(va, vb, vc)
-        owner, neighbor = inc[0][0], (inc[1][0] if len(inc) == 2 else -1)
-        faces.append(Face(key, normal, area, owner, neighbor))
-        for e, lf in inc:
-            element_faces[e, lf] = fi
-    mesh_stub = Mesh(vertices, elements, tuple(faces), element_faces, element_face_signs)
-    for e in range(ne):
-        for lf in range(4):
-            fi = element_faces[e, lf]
-            n_out = outward_normal(mesh_stub, e, lf)
-            element_face_signs[e, lf] = 1 if np.dot(n_out, faces[fi].normal) > 0 else -1
-    return tuple(faces), element_faces, element_face_signs
+    keys = np.sort(elements[:, LOCAL_FACES], axis=-1).reshape(-1, 3)  # slot 4 e + lf
+    triples, first, slots, counts = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    if counts.max() > 2:
+        raise ValueError(f"face {tuple(triples[counts.argmax()].tolist())} "
+                         "shared by more than two elements")
+    last = len(keys) - 1 - np.unique(keys[::-1], axis=0, return_index=True)[1]
+    neighbor = np.where(counts == 2, last // 4, -1)
+    normals, areas = face_normal_area(*np.moveaxis(vertices[triples], 1, 0))
+    faces = tuple(Face(tuple(t), nrm, a, o, nb) for t, nrm, a, o, nb in zip(
+        triples.tolist(), normals, areas, (first // 4).tolist(), neighbor.tolist()))
+    element_faces = slots.reshape(-1, 4)
+    signs = np.where(row_dot(_outward_normals(vertices, elements),
+                               normals[element_faces]) > 0, 1, -1)
+    return faces, element_faces, signs
 
 
 def _finish_mesh(vertices, elements):
-    elements = np.asarray(elements, dtype=int)
+    elements = np.array(elements, dtype=int)
     vertices = np.asarray(vertices, dtype=float)
     # enforce positive orientation
-    for e in range(len(elements)):
-        v = vertices[elements[e]]
-        if np.linalg.det(v[1:] - v[0]) < 0:
-            elements[e, [2, 3]] = elements[e, [3, 2]]
+    v = vertices[elements]
+    flip = np.linalg.det(v[:, 1:] - v[:, :1]) < 0
+    elements[flip, 2:] = elements[flip, 2:][:, ::-1]
     faces, element_faces, signs = _build_faces(vertices, elements)
     return Mesh(vertices, elements, faces, element_faces, signs)
 
@@ -137,21 +128,12 @@ def build_structured_cube(n):
         raise ValueError(f"subdivision count n must be a positive integer, got {n!r}")
     nv1 = n + 1
     grid = np.arange(nv1) / n
-    vid = lambda i, j, k: i + nv1 * j + nv1 * nv1 * k
-    vertices = np.empty((nv1 ** 3, 3))
-    for k in range(nv1):
-        for j in range(nv1):
-            for i in range(nv1):
-                vertices[vid(i, j, k)] = (grid[i], grid[j], grid[k])
-    elements = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                corner = {c: vid(i + (c & 1), j + ((c >> 1) & 1), k + ((c >> 2) & 1))
-                          for c in range(8)}
-                for p1, p2, p3 in _KUHN_PERMS:
-                    elements.append((corner[0], corner[p1], corner[p1 + p2], corner[7]))
-    return _finish_mesh(vertices, np.array(elements, dtype=int))
+    z, y, x = np.meshgrid(grid, grid, grid, indexing="ij")
+    vertices = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    ids = np.arange(nv1 ** 3).reshape(nv1, nv1, nv1)           # vertex id at [k, j, i]
+    corners = ids[:2, :2, :2].ravel()                            # offsets of corners 0..7
+    elements = ids[:n, :n, :n].reshape(-1, 1, 1) + corners[_KUHN_TETS]
+    return _finish_mesh(vertices, elements.reshape(-1, 4))
 
 
 def _boundary_plane(mesh, face):

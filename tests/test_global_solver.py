@@ -8,11 +8,12 @@ from scipy.linalg import block_diag
 
 from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
                          assemble_hybrid, build_structured_cube, flux_residual,
-                         load_solution, make_case, save_solution,
+                         load_solution, make_case, outward_normal, save_solution,
                          solve_monolithic, solve_skeleton, solve_time_harmonic,
                          tag_boundary)
 from hdg_elastic.errors import problem_data_from_case
-from hdg_elastic.global_system import global_operators, solve_dirichlet_trace
+from hdg_elastic.global_system import (boundary_data, global_operators,
+                                       solve_dirichlet_trace)
 from hdg_elastic.local_ops import assemble_local_blocks
 
 
@@ -254,3 +255,45 @@ def test_dirichlet_trace_equals_projected_data(poly_setup):
             continue
         ref = disc.project_face(fi, data.dirichlet())
         assert np.abs(sol.uhat[fi] - ref).max() < 1e-12 * max(np.abs(ref).max(), 1)
+
+
+@pytest.mark.parametrize("bc", ["all-neumann", "impedance"])
+def test_boundary_data_matches_per_face_quadrature(bc):
+    # reference: one face at a time, with the outward normal of the owning
+    # element taken from geometry rather than from the stored face signs
+    mesh = tag_boundary(build_structured_cube(2), bc)
+    disc = Discretization(mesh, 1)
+    case = make_case("varcoeff", kappa=1.3)
+    data = problem_data_from_case(case)
+    g, imp = boundary_data(disc, data)
+    g, imp = g.reshape(mesh.num_faces, 3, disc.nF), imp.reshape(mesh.num_faces, -1)
+    datum = data.neumann() if bc == "all-neumann" else data.impedance()
+    for fi, face in enumerate(mesh.faces):
+        if face.neighbor >= 0:
+            assert not g[fi].any() and not imp[fi].any()
+            continue
+        fd = disc.face_data(fi)
+        lf = list(mesh.element_faces[face.owner]).index(fi)
+        n = np.broadcast_to(outward_normal(mesh, face.owner, lf), fd.points.shape)
+        ref = np.einsum("q,qd,ql->dl", fd.weights, datum(fd.points, n), fd.chi)
+        assert np.abs(g[fi] - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.all(imp[fi] == (1.3j if bc == "impedance" else 0))
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -1.0])
+def test_problem_data_rejects_invalid_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        ProblemData(kappa=kappa)
+
+
+@pytest.mark.parametrize("bc", ["all-neumann", "impedance"])
+def test_static_pure_traction_is_rejected(bc):
+    # kappa = 0 without a Dirichlet face fixes the displacement only up to a
+    # rigid motion; impedance faces are traction faces at kappa = 0
+    case = make_case("polynomial", kappa=0.0, k=1)
+    disc = Discretization(tag_boundary(build_structured_cube(1), bc), 1)
+    data = problem_data_from_case(case)
+    with pytest.raises(ValueError, match="pure-traction"):
+        solve_time_harmonic(disc, case.material, data, VARIANTS["conservative"])
+    with pytest.raises(ValueError, match="pure-traction"):
+        solve_monolithic(disc, case.material, data, VARIANTS["conservative"])

@@ -9,6 +9,7 @@ import pytest
 from hdg_elastic import (Discretization, build_structured_cube, compute_errors,
                          eoc, make_case, solve_time_harmonic, tag_boundary,
                          VARIANTS)
+from hdg_elastic import cli
 from hdg_elastic.cli import CSV_COLUMNS, main, run_experiment
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.materials import pack_sym
@@ -229,3 +230,18 @@ def test_run_experiment_hk_const():
     assert abs(rows[0]["h"] * rows[0]["kappa"] - np.sqrt(3) / 10) < 1e-12
     assert abs(rows[1]["h"] * rows[1]["kappa"] - np.sqrt(3) / 10) < 1e-12
     assert rows[1]["kappa"] == pytest.approx(2 * rows[0]["kappa"])
+
+
+@pytest.mark.parametrize("test,calls", [("varcoeff", 1), ("hk-const", 2)])
+def test_case_built_once_per_frequency(monkeypatch, test, calls):
+    # only the fixed h*kappa sweep changes kappa between levels
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(kwargs.get("kappa"))
+        return make_case(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_case", counting)
+    rows, _ = run_experiment(test, "first-order", 1, [1, 2])
+    assert len(made) == calls
+    assert [row["kappa"] for row in rows][-calls:] == made
