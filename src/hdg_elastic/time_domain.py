@@ -1,25 +1,33 @@
 """Semidiscrete transient elastodynamics on the hybrid spaces.
 
 Global unknowns (homogeneous Dirichlet data, unforced): stress coefficients
-s, displacement u with velocity v, and skeleton traces m on non-Dirichlet
-faces. The semidiscrete equations are
-
-  A s' = N^T m' - D^T u'                  (holds at all times; A s = N^T m - D^T u)
-  M u'' = D s - T11 u + T12 m             conservative flux
-  M u'' = D s +/- T11 u' -/+ T12 u-hat''... (see below) for the rate fluxes
-
-with the numerical fluxes
+s, displacement u with velocity v = u', and skeleton traces m on
+non-Dirichlet faces. The stress is slaved at all times, A s = N^T m - D^T u,
+and with the numerical fluxes
   conservative:  sigma_hat n = sigma n - tau (P_M u - u_hat)
-  accumulating:  sigma_hat n = sigma n + tau (P_M u' - u_hat')
-  dissipative:   sigma_hat n = sigma n - tau (P_M u' - u_hat')
-
-For the conservative flux (s, m) are algebraic (slaved to u) and the dynamics
-reduce to the condensed linear second-order ODE  M u'' = -K u; the rate
-fluxes carry m as a differential variable with  T22 m' = T12^T v +/- N s.
+  accumulating:  sigma_hat n = sigma n + tau (P_M u' - u_hat')   (sign = +1)
+  dissipative:   sigma_hat n = sigma n - tau (P_M u' - u_hat')   (sign = -1)
+the dynamics are
+  conservative:  M u'' = D s - T11 u + T12 m,  T12^T u - N s - T22 m = 0,
+                 so (s, m) are slaved to u and M u'' = -K u;
+  rate fluxes:   M v' = D s + sign (T11 v - T12 m'),
+                 T22 m' = T12^T v + sign N s.
 
 The discrete energy is E = 1/2 ||sigma||_A^2 + 1/2 ||v||_rho^2, plus the
 interface term 1/2 ||P_M u - u_hat||_tau^2 for the conservative flux; it is
 exactly conserved, nondecreasing or nonincreasing respectively.
+
+Each step solves a real sparse block system, factored once per step size.
+Newmark (conservative, c = beta dt^2) solves (M + c K) a = r in (a, s, m):
+  [[M + c T11, -c D, -c T12], [D^T, A, -N^T], [T12^T, -N, -T22]] (a, s, m)
+    = (r, 0, 0),
+with every product K w taken as T11 w - D s - T12 m for (s, m) slaved to w.
+The trapezoidal rule (rate fluxes, h = dt/2) solves for the step midpoint
+w = (z0 + z1)/2 of z = (u, v, m):
+  [[M - h sign T11, -h D, sign T12], [h D^T, A, -N^T],
+   [-h T12^T, -h sign N, T22]] (w_v, s, w_m)
+    = (M v0 + sign T12 m0, -D^T u0, T22 m0),
+then u1 = u0 + dt w_v, v1 = 2 w_v - v0 and m1 = 2 w_m - m0.
 
 The real blocks are the global operators of the frequency-domain solver
 (global_system.global_operators), restricted to the trace dofs of the
@@ -82,15 +90,16 @@ class SemidiscreteSystem:
         self.T12 = ops.T12[:, active]
         self.t22 = ops.t22[active]
 
-        self._A_lu = spla.splu(self.A)
+        self._sign = {"accumulating": 1.0, "dissipative": -1.0}.get(flux)
         self._M_lu = spla.splu(self.M)
-        # conservative slaving block [[A, -N^T], [-N, -T22]], symmetric
-        slave = sps.bmat([[self.A, -self.N.T],
-                          [-self.N, -sps.diags(self.t22)]]).tocsc()
-        self._slave_lu = spla.splu(slave)
+        if flux == "conservative":
+            # slaving block [[A, -N^T], [-N, -T22]], symmetric
+            self._slave_lu = spla.splu(sps.bmat(
+                [[self.A, -self.N.T], [-self.N, -sps.diags(self.t22)]], format="csc"))
+        else:
+            self._A_lu = spla.splu(self.A)
         self._keff = None
-        self._newmark_cache = {}
-        self._trap_cache = {}
+        self._step_lu = {}
 
     # ---- slaved variables ----
 
@@ -100,13 +109,17 @@ class SemidiscreteSystem:
         sol = self._slave_lu.solve(rhs)
         return sol[:self.ns], sol[self.ns:]
 
+    def _stiffness(self, w):
+        """(K w, s, m) for the conservative flux: K w = T11 w - D s - T12 m."""
+        s, m = self.slave_conservative(w)
+        return self.T11 @ w - self.D @ s - self.T12 @ m, s, m
+
     def stress_from(self, u, m):
         """s = A^-1 (N^T m - D^T u)."""
         return self._A_lu.solve(self.N.T @ m - self.D.T @ u)
 
     def trace_rate(self, v, s):
-        sign = 1.0 if self.flux == "accumulating" else -1.0
-        return (self.T12.T @ v + sign * (self.N @ s)) / self.t22
+        return (self.T12.T @ v + self._sign * (self.N @ s)) / self.t22
 
     # ---- energy ----
 
@@ -128,19 +141,18 @@ class SemidiscreteSystem:
     def energy_rate(self, state):
         """dE/dt along the semidiscrete vector field (chain rule, analytic)."""
         if self.flux == "conservative":
-            s, m = self.slave_conservative(state.u)
+            ku, s, m = self._stiffness(state.u)
             ds, dm = self.slave_conservative(state.v)
-            dv = self._M_lu.solve(self.D @ s - self.T11 @ state.u + self.T12 @ m)
+            dv = self._M_lu.solve(-ku)
             rate = s @ (self.A @ ds) + state.v @ (self.M @ dv)
             rate += (state.u @ (self.T11 @ state.v) - state.v @ (self.T12 @ m)
                      - state.u @ (self.T12 @ dm) + dm @ (self.t22 * m))
             return float(rate)
-        sign = 1.0 if self.flux == "accumulating" else -1.0
         s = self.stress_from(state.u, state.m)
         dm = self.trace_rate(state.v, s)
         ds = self._A_lu.solve(self.N.T @ dm - self.D.T @ state.v)
         dv = self._M_lu.solve(self.D @ s
-                              + sign * (self.T11 @ state.v - self.T12 @ dm))
+                              + self._sign * (self.T11 @ state.v - self.T12 @ dm))
         return float(s @ (self.A @ ds) + state.v @ (self.M @ dv))
 
     def velocity_mismatch(self, state):
@@ -153,7 +165,7 @@ class SemidiscreteSystem:
     # ---- condensed operators ----
 
     def effective_stiffness(self):
-        """Dense K with M u'' = -K u for the conservative flux."""
+        """Dense K with M u'' = -K u for the conservative flux (reference only)."""
         if self._keff is None:
             R = sps.hstack([self.D, self.T12]).tocsr()
             X = self._slave_lu.solve(np.asarray(R.T.toarray()))
@@ -161,30 +173,13 @@ class SemidiscreteSystem:
             self._keff = 0.5 * (self._keff + self._keff.T)
         return self._keff
 
-    def _first_order_operator(self):
-        """Dense B with z' = B z, z = (u, v, m), for the rate fluxes."""
-        sign = 1.0 if self.flux == "accumulating" else -1.0
-        n = 2 * self.nu + self.nm
-        B = np.zeros((n, n))
-        eye_u = np.eye(self.nu)
-        eye_m = np.eye(self.nm)
-        B[:self.nu, self.nu:2 * self.nu] = eye_u
-        # columns from u: s = -A^-1 D^T u
-        s_u = -self._A_lu.solve(np.asarray(self.D.T.toarray()))
-        # columns from m: s = A^-1 N^T m
-        s_m = self._A_lu.solve(np.asarray(self.N.T.toarray()))
-        dm_v = self.T12.T.toarray() / self.t22[:, None]
-        dm_su = sign * (self.N @ s_u) / self.t22[:, None]
-        dm_sm = sign * (self.N @ s_m) / self.t22[:, None]
-        dv = np.zeros((self.nu, n))
-        dv[:, :self.nu] = self.D @ s_u - sign * (self.T12 @ dm_su)
-        dv[:, self.nu:2 * self.nu] = sign * (self.T11.toarray() - self.T12 @ dm_v)
-        dv[:, 2 * self.nu:] = self.D @ s_m - sign * (self.T12 @ dm_sm)
-        B[self.nu:2 * self.nu] = self._M_lu.solve(dv)
-        B[2 * self.nu:, :self.nu] = dm_su
-        B[2 * self.nu:, self.nu:2 * self.nu] = dm_v
-        B[2 * self.nu:, 2 * self.nu:] = dm_sm
-        return B
+    def _first_order_operator(self, dt):
+        """Sparse trapezoidal step matrix in the midpoint unknowns (w_v, s, w_m)."""
+        h, sign = 0.5 * dt, self._sign
+        return sps.bmat([[self.M - h * sign * self.T11, -h * self.D, sign * self.T12],
+                         [h * self.D.T, self.A, -self.N.T],
+                         [-h * self.T12.T, -h * sign * self.N, sps.diags(self.t22)]],
+                        format="csc")
 
     # ---- time stepping ----
 
@@ -194,42 +189,38 @@ class SemidiscreteSystem:
         Conservative flux: implicit Newmark (gamma = 1/2) on the condensed
         second-order ODE; beta >= 1/4 keeps it unconditionally stable.
         Rate fluxes: trapezoidal rule on the first-order system in (u, v, m).
+        Each step matrix is factored once per (dt, beta) or dt.
         """
-        if dt <= 0:
+        if not np.isfinite(dt) or dt <= 0:
             raise ValueError("time step must be positive")
         if self.flux == "conservative":
             return self._newmark_step(state, dt, beta)
         return self._trapezoidal_step(state, dt)
 
     def _newmark_step(self, state, dt, beta):
-        K = self.effective_stiffness()
-        key = (dt, beta)
-        if key not in self._newmark_cache:
-            from scipy.linalg import cho_factor
-            Md = np.asarray(self.M.toarray())
-            self._newmark_cache[key] = (cho_factor(Md + beta * dt * dt * K),
-                                        cho_factor(Md))
-        from scipy.linalg import cho_solve
-        step_f, mass_f = self._newmark_cache[key]
-        a0 = cho_solve(mass_f, -(K @ state.u))
+        c = beta * dt * dt
+        if (dt, beta) not in self._step_lu:
+            self._step_lu[dt, beta] = spla.splu(sps.bmat(
+                [[self.M + c * self.T11, -c * self.D, -c * self.T12],
+                 [self.D.T, self.A, -self.N.T],
+                 [self.T12.T, -self.N, -sps.diags(self.t22)]], format="csc"))
+        a0 = self._M_lu.solve(-self._stiffness(state.u)[0])
         u_pred = state.u + dt * state.v + dt * dt * (0.5 - beta) * a0
-        a1 = cho_solve(step_f, -(K @ u_pred))
-        u1 = u_pred + beta * dt * dt * a1
-        v1 = state.v + 0.5 * dt * (a0 + a1)
-        return TimeState(state.t + dt, u1, v1)
+        rhs = np.concatenate([-self._stiffness(u_pred)[0],
+                              np.zeros(self.ns + self.nm)])
+        a1 = self._step_lu[dt, beta].solve(rhs)[:self.nu]
+        return TimeState(state.t + dt, u_pred + c * a1,
+                         state.v + 0.5 * dt * (a0 + a1))
 
     def _trapezoidal_step(self, state, dt):
-        if dt not in self._trap_cache:
-            from scipy.linalg import lu_factor
-            B = self._first_order_operator()
-            eye = np.eye(B.shape[0])
-            self._trap_cache[dt] = (lu_factor(eye - 0.5 * dt * B), B)
-        from scipy.linalg import lu_solve
-        lu, B = self._trap_cache[dt]
-        z = np.concatenate([state.u, state.v, state.m])
-        z1 = lu_solve(lu, z + 0.5 * dt * (B @ z))
-        return TimeState(state.t + dt, z1[:self.nu],
-                         z1[self.nu:2 * self.nu], z1[2 * self.nu:])
+        if dt not in self._step_lu:
+            self._step_lu[dt] = spla.splu(self._first_order_operator(dt))
+        rhs = np.concatenate([self.M @ state.v + self._sign * (self.T12 @ state.m),
+                              -(self.D.T @ state.u), self.t22 * state.m])
+        w = self._step_lu[dt].solve(rhs)
+        wv, wm = w[:self.nu], w[self.nu + self.ns:]
+        return TimeState(state.t + dt, state.u + dt * wv,
+                         2.0 * wv - state.v, 2.0 * wm - state.m)
 
 
 def write_energy_trace(path, system, states):

@@ -42,6 +42,11 @@ def test_rejects_nonpositive_dt(systems):
     state = random_state(sys_map["conservative"], 0)
     with pytest.raises(ValueError):
         sys_map["conservative"].step(state, 0.0)
+    for flux in ("conservative", "dissipative"):
+        state = random_state(sys_map[flux], 0)
+        for dt in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                sys_map[flux].step(state, dt)
 
 
 def test_zero_state_stays_zero(systems):
@@ -254,3 +259,63 @@ def test_energy_trace_csv(tmp_path, systems):
     assert len(rows) == 5
     assert rows[1][3] == "dissipative"
     assert abs(float(rows[1][1]) - system.energy(states[0])) < 1e-12
+
+
+def _dense_newmark(system, state, dt, beta=1.0 / 3.0):
+    """Newmark step on the dense condensed stiffness K."""
+    K, M = system.effective_stiffness(), system.M.toarray()
+    a0 = np.linalg.solve(M, -(K @ state.u))
+    u_pred = state.u + dt * state.v + dt * dt * (0.5 - beta) * a0
+    a1 = np.linalg.solve(M + beta * dt * dt * K, -(K @ u_pred))
+    return TimeState(state.t + dt, u_pred + beta * dt * dt * a1,
+                     state.v + 0.5 * dt * (a0 + a1))
+
+
+def _dense_first_order(system):
+    """Dense B with z' = B z, z = (u, v, m), for the rate fluxes."""
+    sign = 1.0 if system.flux == "accumulating" else -1.0
+    nu, nm = system.nu, system.nm
+    A, D, N = system.A.toarray(), system.D.toarray(), system.N.toarray()
+    T11, T12 = system.T11.toarray(), system.T12.toarray()
+    t22 = system.t22[:, None]
+    s_u = -np.linalg.solve(A, D.T)     # s = A^-1 (N^T m - D^T u)
+    s_m = np.linalg.solve(A, N.T)
+    dm_u, dm_v, dm_m = sign * N @ s_u / t22, T12.T / t22, sign * N @ s_m / t22
+    B = np.zeros((2 * nu + nm, 2 * nu + nm))
+    B[:nu, nu:2 * nu] = np.eye(nu)
+    dv = np.hstack([D @ s_u - sign * T12 @ dm_u,
+                    sign * (T11 - T12 @ dm_v),
+                    D @ s_m - sign * T12 @ dm_m])
+    B[nu:2 * nu] = np.linalg.solve(system.M.toarray(), dv)
+    B[2 * nu:] = np.hstack([dm_u, dm_v, dm_m])
+    return B
+
+
+def _dense_trapezoid(B, state, dt):
+    z = np.concatenate([state.u, state.v, state.m])
+    z1 = np.linalg.solve(np.eye(len(z)) - 0.5 * dt * B, z + 0.5 * dt * (B @ z))
+    nu = len(state.u)
+    return TimeState(state.t + dt, z1[:nu], z1[nu:2 * nu], z1[2 * nu:])
+
+
+@pytest.mark.parametrize("config", ["all-dirichlet", "mixed"])
+def test_sparse_steps_match_dense_reference(config):
+    # 20 sparse block-system steps against dense condensed steps: Newmark on
+    # K for the conservative flux, the trapezoidal rule on B for the others
+    mesh = tag_boundary(build_structured_cube(1), config)
+    disc = Discretization(mesh, 1)
+    mat = variable_preset()
+    dt = 0.02
+    for flux in FLUXES:
+        system = SemidiscreteSystem(disc, mat, flux)
+        sparse = dense = random_state(system, 12)
+        if flux != "conservative":
+            B = _dense_first_order(system)
+        for _ in range(20):
+            sparse = system.step(sparse, dt)
+            dense = (_dense_newmark(system, dense, dt) if flux == "conservative"
+                     else _dense_trapezoid(B, dense, dt))
+        for a, b in ((sparse.u, dense.u), (sparse.v, dense.v),
+                     (sparse.m, dense.m)):
+            if b is not None:
+                assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max(), flux
