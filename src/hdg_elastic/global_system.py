@@ -33,7 +33,7 @@ from .local_ops import (VARIANTS, FluxVariant, block_bytes, condense_batch,
 # The per-element reference path; perfbench/tracing.py wraps these names
 # through this module's bindings.
 from .local_ops import assemble_local_blocks, condense, factorize_local, recover  # noqa: F401
-from .mesh import BoundaryTag
+from .mesh import BoundaryTag, dissection_order
 
 _RESIDUAL_TOL = 1e-8
 
@@ -238,11 +238,14 @@ def assemble_hybrid(disc, material, data, variant):
     z = np.empty((ne, n), dtype=complex)
     cond = np.empty(ne)
     flags = np.empty(ne, dtype=bool)
+    condense_s = 0.0
     for batch in element_batches(ne, block_bytes(disc)):
         blocks = element_blocks(disc, material, batch)
         f = load_moments(disc, batch, data.load())
+        t0 = time.perf_counter()
         S[batch], loads[batch], X[batch], z[batch], cond[batch] = \
             condense_batch(blocks, data.kappa, variant, f)
+        condense_s += time.perf_counter() - t0
         flags[batch] = resolution_flags(data.kappa, blocks.h, blocks.wave_bound)
 
     dofs = trace_dofs(mesh, nFd).reshape(ne, -1)
@@ -250,7 +253,8 @@ def assemble_hybrid(disc, material, data, variant):
     rhs = g - full @ dir_values.ravel()
     np.add.at(rhs, dofs, loads)
     matrix = full[skel.dofs][:, skel.dofs]
-    diagnostics = {"local_cond_min": float(cond.min()),
+    diagnostics = {"condense_s": condense_s, "skeleton_nnz": int(matrix.nnz),
+                   "local_cond_min": float(cond.min()),
                    "local_cond_median": float(np.median(cond)),
                    "local_cond_max": float(cond.max()),
                    "flagged_elements": int(flags.sum())}
@@ -261,14 +265,20 @@ def assemble_hybrid(disc, material, data, variant):
 def solve_skeleton(system):
     """Sparse direct solve of the condensed system; returns (nfaces, 3, nF).
 
-    Adds the relative residual and the LU fill (nonzeros of L and U) to
-    system.diagnostics."""
-    # The skeleton matrix has a symmetric pattern: a minimum-degree ordering
-    # of A^T + A with diagonal pivots fills about half as much as COLAMD.
+    Factors in the face order of mesh.dissection_order and adds the relative
+    residual, the LU fill (nonzeros of L and U) and the time of ordering and
+    factor (factor_s) to system.diagnostics."""
+    t0 = time.perf_counter()
+    skel, order = system.skeleton, dissection_order(system.disc.mesh)
+    faces = np.searchsorted(skel.active, order[np.isin(order, skel.active)])
+    perm = (faces[:, None] * skel.nFd + np.arange(skel.nFd)).ravel()
+    # symmetric pattern: SymmetricMode prefers diagonal pivots, keeping the order
     try:
-        lu = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(system.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL",
                        options=dict(SymmetricMode=True))
-        x = lu.solve(system.rhs)
+        system.diagnostics["factor_s"] = time.perf_counter() - t0
+        x = np.empty_like(system.rhs)
+        x[perm] = lu.solve(system.rhs[perm])
     except RuntimeError as exc:
         raise SingularSystemError(f"skeleton solve failed: {exc}") from exc
     scale = max(np.linalg.norm(system.rhs), np.linalg.norm(x), 1e-300)
@@ -327,9 +337,9 @@ def _check_solvable(mesh, kappa):
 def solve_time_harmonic(disc, material, data, variant):
     """Assemble, solve and reconstruct. Returns (solution, info dict).
 
-    info holds the sizes and phase times, the skeleton solve's relative
-    residual and LU fill, the range of the local condition numbers
-    cond(C, 1) and the number of elements with a resolution flag.
+    info holds the sizes, phase times (condense_s; factor_s: skeleton ordering
+    and factor), skeleton nonzeros, the skeleton solve's relative residual and
+    LU fill, the range of cond(C, 1) and the number of flagged elements.
     Raises ValueError for a static pure-traction problem."""
     _check_solvable(disc.mesh, data.kappa)
     t0 = time.perf_counter()

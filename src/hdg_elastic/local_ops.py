@@ -18,10 +18,10 @@ and the condensed transmission row reads
 
 All blocks except those multiplied by alpha are real.
 
-element_blocks and condense_batch do this work for batches of elements with
-stacked array operations; the hybrid solve uses them. factorize_local,
-condense and recover treat one element through its LU factors and serve as
-the reference for the batched path.
+element_blocks and condense_batch (block elimination, exact cond(C, 1)) do
+this work for batches of elements with stacked array operations; the hybrid
+solve uses them. factorize_local, condense and recover treat one element
+through the LU factors of C and serve as the reference for the batched path.
 """
 
 from dataclasses import dataclass
@@ -76,10 +76,13 @@ def element_batches(ne, bytes_per_element):
 
 def block_bytes(disc):
     """Upper estimate of the working memory per element of the block
-    quadrature and the local solvers."""
-    n = 6 * disc.nV + 3 * disc.nW
-    nq = len(disc.vol_rule.weights)
-    return 8 * max(4 * 36 * nq, 8 * n * n)
+    quadrature and condense_batch: the real blocks, A^-1, P_D and P_N, and the
+    complex Sigma, its inverse and the larger set of the norm (Y, Y^T, Q,
+    A^-1 + Q) or of the solvers (R and two temporaries, X, P_D X_u, S)."""
+    nS, nW3, nM = 6 * disc.nV, 3 * disc.nW, 12 * disc.nF
+    real = 2 * nS * (nS + nW3 + nM) + 2 * nW3 * (nW3 + nM)
+    cplx = 2 * nW3 * nW3 + max(2 * nS * (nS + nW3), (2 * nS + 4 * nW3 + nM) * nM)
+    return 8 * max(4 * 36 * len(disc.vol_rule.weights), real + 2 * cplx)
 
 
 @dataclass
@@ -224,59 +227,78 @@ def factorize_local(blocks, kappa, variant, material=None, disc=None):
                               lu_factor(C), cond, flag)
 
 
-def coupling_in(blocks, alpha):
-    """B_in = [N^T; -alpha tau G^T] of one element (n x nM) or of a batch
-    (nb, n, nM), n = nS + nW3. The outgoing coupling B_out is its transpose."""
-    lead = blocks.N.shape[:-3]
-    N = blocks.N.reshape(*lead, blocks.nM, blocks.nS)
-    G = blocks.G.reshape(*lead, blocks.nM, blocks.nW3)
-    at = alpha * np.asarray(blocks.tau)[..., None, None]
-    return np.concatenate([np.swapaxes(N, -1, -2).astype(complex),
-                           -at * np.swapaxes(G, -1, -2)], axis=-2)
-
-
 def _coupling(fact):
-    """B_in ((nS+nW3) x nM) and B_out = B_in^T (nM x (nS+nW3))."""
-    B_in = coupling_in(fact.blocks, fact.alpha)
+    """B_in = [N^T; -alpha tau G^T] ((nS+nW3) x nM) and B_out = B_in^T."""
+    b = fact.blocks
+    B_in = np.vstack([b.N.reshape(b.nM, b.nS).T,
+                      -fact.alpha * b.tau * b.G.reshape(b.nM, b.nW3).T])
     return B_in, B_in.T
+
+
+def _rmul(R, Z):
+    """R @ Z for real R and complex Z, in real arithmetic on Z's interleaved parts."""
+    return (R @ Z.view(np.float64)).view(np.complex128)
+
+
+def _inverse_norm1(Ainv, P_D, Sinv):
+    """||C^-1||_1 per element from the block inverse [[A^-1 + P_D Sigma^-1 P_D^T,
+    -Y], [-Y^T, Sigma^-1]] with Y = P_D Sigma^-1 (Sigma is complex symmetric)."""
+    colsum = lambda mats: np.abs(mats).sum(axis=1)
+    Y = _rmul(P_D, Sinv)
+    Yt = np.ascontiguousarray(np.swapaxes(Y, 1, 2))
+    return np.maximum((colsum(Ainv + _rmul(P_D, Yt)) + colsum(Yt)).max(axis=1),
+                      (colsum(Y) + colsum(Sinv)).max(axis=1))
 
 
 def condense_batch(blocks, kappa, variant, f):
     """Static condensation of an element batch, keeping its local solvers.
 
     blocks carry a leading element axis and f holds the load moments
-    (nb, 3nW). One stacked inverse of the local matrices C gives everything:
+    (nb, 3nW). A is real, SPD and independent of kappa, so it is eliminated
+    first, in real arithmetic (P_D = A^-1 D^T, P_N = A^-1 N^T); only the
+    complex Schur complement Sigma = k^2 M - a T11 - D P_D (size 3nW) is
+    inverted, and no real block is promoted to complex. With
+    R = -a tau G^T - D P_N, X_u = Sigma^-1 R and z_u = Sigma^-1 f:
 
-      S     (nb, nM, nM)  condensed blocks B_out C^-1 B_in + alpha tau I
-      loads (nb, nM)      -B_out C^-1 [0; f]
-      X     (nb, n, nM)   C^-1 B_in, the interior response to the traces
-      z     (nb, n)       C^-1 [0; f], so interior unknowns are X m + z
-      cond  (nb,)         ||C||_1 ||C^-1||_1, as np.linalg.cond(C, 1)
+      S     (nb, nM, nM)  B_out X + a tau I = N P_N + R^T X_u + a tau I
+      loads (nb, nM)      -B_out z = -R^T z_u
+      X     (nb, n, nM)   C^-1 B_in = [P_N - P_D X_u; X_u]
+      z     (nb, n)       C^-1 [0; f] = [-P_D z_u; z_u]; interior unknowns are X m + z
+      cond  (nb,)         exactly np.linalg.cond(C, 1), from the blocks of C and C^-1
 
     Raises SingularLocalSolverError as factorize_local does."""
     alpha = variant.alpha(kappa)
-    C = local_matrix(blocks, kappa, variant)
+    nb, nS, nM = len(blocks.element), blocks.nS, blocks.nM
+    N = blocks.N.reshape(nb, nM, nS)
+    B = kappa ** 2 * blocks.M - alpha * blocks.T11
+    Ainv = np.linalg.inv(blocks.A)
+    P_D = Ainv @ np.swapaxes(blocks.D, 1, 2)
+    P_N = Ainv @ np.swapaxes(N, 1, 2)
     try:
-        Cinv = np.linalg.inv(C)
+        Sinv = np.linalg.inv(B - blocks.D @ P_D)
     except np.linalg.LinAlgError:
-        Cinv = np.full_like(C, np.nan)
-    norm1 = lambda mats: np.abs(mats).sum(axis=1).max(axis=1)
-    cond = norm1(C) * norm1(Cinv)
+        Sinv = np.full_like(B, np.nan)
+    absD = np.abs(blocks.D)
+    norm_C = np.maximum((np.abs(blocks.A).sum(axis=1) + absD.sum(axis=1)).max(axis=1),
+                        (absD.sum(axis=2) + np.abs(B).sum(axis=1)).max(axis=1))
+    cond = norm_C * _inverse_norm1(Ainv, P_D, Sinv)
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise SingularLocalSolverError(
             f"local solver is singular on element {blocks.element[i]} "
             f"(kappa={kappa}, variant={variant.tag}, cond={cond[i]:.3e})")
-    B_in = coupling_in(blocks, alpha)
-    X = Cinv @ B_in
-    z = (Cinv[:, :, blocks.nS:] @ np.asarray(f, dtype=complex)[:, :, None])[:, :, 0]
-    B_out = np.swapaxes(B_in, 1, 2)
-    S = B_out @ X
-    diag = np.arange(blocks.nM)
-    S[:, diag, diag] += alpha * blocks.tau[:, None]
-    loads = -(B_out @ z[:, :, None])[:, :, 0]
-    return S, loads, X, z, cond
+    R = -(blocks.D @ P_N) - (alpha * blocks.tau[:, None, None]
+                              * np.swapaxes(blocks.G.reshape(nb, nM, -1), 1, 2))
+    X = np.empty((nb, nS + blocks.nW3, nM), dtype=complex)
+    X_u = np.matmul(Sinv, R, out=X[:, nS:])
+    X[:, :nS] = P_N - _rmul(P_D, X_u)
+    z_u = Sinv @ np.asarray(f, dtype=complex)[:, :, None]
+    z = np.concatenate([-_rmul(P_D, z_u), z_u], axis=1)[:, :, 0]
+    Rt = np.swapaxes(R, 1, 2)
+    S = Rt @ X_u + N @ P_N
+    S.reshape(nb, -1)[:, ::nM + 1] += alpha * blocks.tau[:, None]   # the diagonals
+    return S, -(Rt @ z_u)[:, :, 0], X, z, cond
 
 
 def resolution_flags(kappa, h, wave_bound):

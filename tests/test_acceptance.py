@@ -74,6 +74,13 @@ def test_criterion_02_optimal_rates_first_order(k):
     assert ok_u and ok_s
 
 
+def test_optimal_rates_first_order_k3():
+    rows, _ = run_experiment("varcoeff", "first-order", 3, [1, 2, 3], timing=False)
+    eoc_u, eoc_s = float(rows[-1]["eoc_u"]), float(rows[-1]["eoc_sigma"])
+    ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, 3)
+    assert ok_u and ok_s, f"EOC(u)={eoc_u:.2f} (target 5), EOC(sigma)={eoc_s:.2f} (target 4)"
+
+
 @pytest.mark.parametrize("wave", ["pwave", "swave"])
 def test_criterion_03_plane_waves(wave):
     eoc_u, eoc_s, rows = _finest_pair_rates(wave, "first-order", 1,

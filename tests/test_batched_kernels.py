@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from hdg_elastic import (VARIANTS, Discretization, ProblemData, assemble_hybrid,
+from hdg_elastic import (VARIANTS, Discretization, ProblemData,
+                         SingularLocalSolverError, assemble_hybrid,
                          assemble_local_blocks, build_structured_cube, condense,
-                         factorize_local, make_case, reconstruct, recover,
-                         solve_skeleton, solve_time_harmonic, tag_boundary,
-                         variable_preset)
+                         factorize_local, local_matrix, make_case, reconstruct,
+                         recover, solve_skeleton, solve_time_harmonic,
+                         tag_boundary, variable_preset)
 from hdg_elastic import local_ops
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.global_system import load_moments
 from hdg_elastic.local_ops import (block_bytes, condense_batch, element_batches,
-                                   element_blocks)
+                                   element_blocks, resolution_flags)
 
 TOL = 1e-12
 
@@ -104,6 +105,33 @@ def test_resolution_flag_on_main_path():
         assert system.diagnostics["flagged_elements"] == sum(flags) == expected
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_condition_number_is_exact(k):
+    # resolved at kappa = 0.5, every element flagged at kappa = 50
+    mesh = tag_boundary(build_structured_cube(1), "mixed")
+    disc = Discretization(mesh, k)
+    material = variable_preset()
+    ne = mesh.num_elements
+    blocks = element_blocks(disc, material, np.arange(ne))
+    for kappa, flagged in ((0.5, 0), (50.0, ne)):
+        assert resolution_flags(kappa, blocks.h, blocks.wave_bound).sum() == flagged
+        for variant in VARIANTS.values():
+            cond = condense_batch(blocks, kappa, variant, np.zeros((ne, blocks.nW3)))[4]
+            for e in range(ne):
+                C = local_matrix(assemble_local_blocks(disc, material, e), kappa, variant)
+                ref = np.linalg.cond(C, 1)
+                assert abs(cond[e] - ref) < 1e-10 * ref, (variant.tag, kappa, e)
+
+
+def test_static_first_order_local_solver_is_singular():
+    mesh = tag_boundary(build_structured_cube(1), "mixed")
+    disc = Discretization(mesh, 1)
+    blocks = element_blocks(disc, variable_preset(), np.arange(mesh.num_elements))
+    with pytest.raises(SingularLocalSolverError, match="singular"):
+        condense_batch(blocks, 0.0, VARIANTS["first_order"],
+                       np.zeros((mesh.num_elements, blocks.nW3)))
+
+
 def test_symmetric_ordering_matches_colamd(mixed2):
     disc, case, data = mixed2
     system = assemble_hybrid(disc, case.material, data, VARIANTS["first_order"])
@@ -115,6 +143,21 @@ def test_symmetric_ordering_matches_colamd(mixed2):
     assert system.diagnostics["skeleton_residual"] < 1e-12
 
 
+def test_dissection_order_fills_less_than_mmd():
+    mesh = tag_boundary(build_structured_cube(4), "mixed")
+    disc = Discretization(mesh, 1)
+    case = make_case("varcoeff", kappa=1.3)
+    system = assemble_hybrid(disc, case.material, problem_data_from_case(case),
+                             VARIANTS["first_order"])
+    uhat = solve_skeleton(system)
+    mmd = spla.splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    options=dict(SymmetricMode=True))
+    x = mmd.solve(system.rhs)
+    assert rel(uhat[system.skeleton.active].ravel(), x) < TOL
+    assert system.diagnostics["lu_fill"] < mmd.nnz
+    assert system.diagnostics["skeleton_residual"] < 1e-12
+
+
 def test_solve_report_holds_plain_numbers():
     case = make_case("varcoeff", kappa=1.0)
     mesh = tag_boundary(build_structured_cube(1), "mixed")
@@ -123,8 +166,9 @@ def test_solve_report_holds_plain_numbers():
                                   VARIANTS["first_order"])
     kinds = {"skeleton_residual": float, "lu_fill": int, "local_cond_min": float,
              "local_cond_median": float, "local_cond_max": float,
-             "flagged_elements": int}
+             "flagged_elements": int, "condense_s": float, "factor_s": float,
+             "skeleton_nnz": int}
     for key, kind in kinds.items():
         assert type(info[key]) is kind, key
     assert 1 <= info["local_cond_min"] <= info["local_cond_median"] <= info["local_cond_max"]
-    assert info["lu_fill"] >= info["dofs_skeleton"]
+    assert info["lu_fill"] >= info["skeleton_nnz"] >= info["dofs_skeleton"]

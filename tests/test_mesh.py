@@ -1,10 +1,13 @@
 """Structured cube meshes: counts, orientation, tagging, nestedness, io."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hdg_elastic import (BoundaryTag, build_structured_cube, load_mesh,
                          outward_normal, save_mesh, tag_boundary)
+from hdg_elastic.mesh import dissection_order
 
 
 def element_volume(mesh, e):
@@ -175,3 +178,17 @@ def test_load_mesh_rejects_garbage(tmp_path):
     path.write_text("2 1\n0 0 0\n1 0 0\n0 1 2 3\n")
     with pytest.raises(ValueError):
         load_mesh(path)
+
+
+def test_dissection_order_names_each_face_once(tmp_path):
+    cube = build_structured_cube(3)
+    # jitter the interior vertices, so no centroid coordinates tie
+    rng = np.random.default_rng(5)
+    inner = np.all((cube.vertices > 0) & (cube.vertices < 1), axis=1)
+    vertices = cube.vertices.copy()
+    vertices[inner] += rng.uniform(-0.05, 0.05, (inner.sum(), 3))
+    path = tmp_path / "jittered.txt"
+    save_mesh(path, replace(cube, vertices=vertices))
+    for mesh in (cube, load_mesh(path)):
+        order = dissection_order(mesh)
+        assert np.array_equal(np.sort(order), np.arange(mesh.num_faces))
