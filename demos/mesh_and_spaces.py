@@ -29,13 +29,13 @@ def main():
     print("mesh counts (n, elements, vertices, faces, boundary faces)")
     for n in (1, 2, 3, 4):
         mesh = build_structured_cube(n)
-        nb = sum(f.neighbor < 0 for f in mesh.faces)
+        nb = np.sum(mesh.face_elements[:, 1] < 0)
         print(f"  n={n}: {mesh.num_elements:5d} elements, "
-              f"{len(mesh.vertices):5d} vertices, {len(mesh.faces):6d} faces, "
+              f"{len(mesh.vertices):5d} vertices, {mesh.num_faces:6d} faces, "
               f"{nb:5d} on the boundary, h = sqrt(3)/{n}")
 
     mesh = tag_boundary(build_structured_cube(2), "mixed")
-    tags = [f.tag for f in mesh.faces]
+    tags = mesh.face_tags.tolist()
     print("\nmixed tagging at n=2:",
           f"{tags.count(BoundaryTag.DIRICHLET)} Dirichlet (z=0, z=1),",
           f"{tags.count(BoundaryTag.NEUMANN)} Neumann (side walls),",

@@ -17,7 +17,7 @@ from .local_ops import (CONSERVATIVE, FIRST_ORDER, KAPPA_SCALED, TIME_REVERSED,
 from .materials import (FROBENIUS_WEIGHTS, SYM_COMPONENTS, SYM_MATS, Material,
                         apply_compliance, apply_stiffness, isotropic, pack_sym,
                         unpack_sym, variable_preset)
-from .mesh import (BoundaryTag, Face, Mesh, build_structured_cube, load_mesh,
+from .mesh import (BoundaryTag, Mesh, build_structured_cube, load_mesh,
                    outward_normal, save_mesh, tag_boundary)
 from .quadrature import QuadratureRule, simplex_rule
 from .time_domain import (FLUXES, SemidiscreteSystem, TimeState, initial_state,

@@ -14,23 +14,14 @@ and both incident elements evaluate the same functions.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SimplexBasis
-from .mesh import LOCAL_FACES, face_normal_area, row_dot
+from .mesh import row_dot
 from .quadrature import simplex_rule
 
 _EDGES = np.triu_indices(4, 1)   # the six vertex pairs of a tetrahedron
-
-
-@dataclass(frozen=True)
-class FaceData:
-    """One face's quadrature: views into the Discretization's face arrays."""
-    points: np.ndarray    # (nq, 3) physical quadrature points
-    weights: np.ndarray   # (nq,) physical weights (sum to face area)
-    chi: np.ndarray       # (nq, nF) orthonormal face basis values
 
 
 def _evaluate(field, pts):
@@ -76,22 +67,19 @@ class Discretization:
         self.h = np.sqrt(row_dot(edges, edges)).max(axis=1)                # diameters
 
         # Faces: chart x = va + J (s, t) over the sorted vertex triple (va, vb, vc).
-        triples = np.sort(mesh.elements[:, LOCAL_FACES], axis=-1)             # (ne, 4, 3)
-        face_vertices = np.empty((mesh.num_faces, 3), dtype=int)
-        face_vertices[mesh.element_faces] = triples
-        va, vb, vc = np.moveaxis(mesh.vertices[face_vertices], 1, 0)
-        self.face_normals, area = face_normal_area(va, vb, vc)                # (nf, 3), (nf,)
+        va, vb, vc = np.moveaxis(mesh.vertices[mesh.face_vertices], 1, 0)
         self.face_origin = va
         self.face_jac = np.stack([vb - va, vc - va], axis=-1)                 # (nf, 3, 2)
         self.face_points = va[:, None] + self.face_rule.points @ np.swapaxes(self.face_jac, 1, 2)
-        self.face_weights = self.face_rule.weights * (2.0 * area)[:, None]    # (nf, nq)
-        self.face_scale = 1.0 / np.sqrt(2.0 * area)
+        self.face_weights = self.face_rule.weights * (2.0 * mesh.face_areas)[:, None]  # (nf, nq)
+        self.face_scale = 1.0 / np.sqrt(2.0 * mesh.face_areas)
         self.face_chi = self.chi_ref * self.face_scale[:, None, None]         # (nf, nq, nF)
 
         # The element reference coordinates of a face's quadrature points
         # depend only on where the face's sorted vertex triple sits among the
         # element's vertices: placement 16 p0 + 4 p1 + p2 for local vertex
         # positions p. The element bases are tabulated for all 64 placements.
+        triples = mesh.face_vertices[mesh.element_faces]                       # (ne, 4, 3)
         pos = np.argmax(mesh.elements[:, None, None, :] == triples[..., None], axis=-1)
         self.face_placement = pos @ np.array([16, 4, 1])                       # (ne, 4)
         corners = np.vstack([np.zeros(3), np.eye(3)])[
@@ -103,9 +91,6 @@ class Discretization:
         self.face_psi_ref = self.tet_basis_w.eval(ref.reshape(-1, 3))[0].reshape(64, nqf, -1)
 
     # ---- faces ----
-
-    def face_data(self, fi):
-        return FaceData(self.face_points[fi], self.face_weights[fi], self.face_chi[fi])
 
     def face_basis_at(self, fi, phys_points):
         """Orthonormal face basis values at physical points on face fi."""
@@ -123,7 +108,7 @@ class Discretization:
         place = self.face_placement[e, lf]
         scale = 1.0 / np.sqrt(self.det_jac[e])[..., None, None]
         normals = (self.mesh.element_face_signs[e, lf][..., None]
-                   * self.face_normals[self.mesh.element_faces[e, lf]])
+                   * self.mesh.face_normals[self.mesh.element_faces[e, lf]])
         return self.face_phi_ref[place] * scale, self.face_psi_ref[place] * scale, normals
 
     # ---- elements ----

@@ -107,13 +107,8 @@ class SkeletonMap:
     def __init__(self, mesh, nFd):
         self.nFd = nFd
         self.active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
-        self.offset = {fi: i * nFd for i, fi in enumerate(self.active)}
         self.ndof = len(self.active) * nFd
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
-
-    def face_dofs(self, fi):
-        base = self.offset[fi]
-        return np.arange(base, base + self.nFd)
 
 
 @dataclass(frozen=True)
@@ -182,13 +177,13 @@ def boundary_data(disc, data):
     g = np.zeros((mesh.num_faces, 3 * disc.nF), dtype=complex)
     imp = np.zeros_like(g)
     imp[tags == BoundaryTag.IMPEDANCE] = 1j * data.kappa
-    # a boundary face has one element: the first (element, local face) slot naming it
-    owner, lf = np.divmod(np.unique(mesh.element_faces, return_index=True)[1], 4)
     for tag, datum in ((BoundaryTag.NEUMANN, data.neumann()),
                        (BoundaryTag.IMPEDANCE, data.impedance())):
         faces = np.flatnonzero(tags == tag)
         if faces.size:
-            _, _, normals = disc.element_face_tables(owner[faces], lf[faces])
+            owner = mesh.face_elements[faces, 0]             # a boundary face's one element
+            lf = np.argmax(mesh.element_faces[owner] == faces[:, None], axis=1)
+            _, _, normals = disc.element_face_tables(owner, lf)
             n = np.repeat(normals, disc.face_weights.shape[1], axis=0)
             g[faces] = disc.project_face(faces, lambda x: datum(x, n)).reshape(len(faces), -1)
     return g.ravel(), imp.ravel()

@@ -2,9 +2,10 @@
 
 The unit cube is split into n^3 congruent subcubes, each subdivided into six
 tetrahedra sharing the subcube's main diagonal (Kuhn split), which makes the
-family nested under refinement. Faces are keyed by their sorted global vertex
-triple; the stored unit normal is the one induced by the sorted vertex order
-and each incident element records a +/-1 orientation sign relative to it.
+family nested under refinement. The skeleton is one table of face arrays on
+the Mesh, a row per sorted global vertex triple, in sorted order; the stored
+unit normal is the one induced by that vertex order, and each element records
+in element_face_signs a +/-1 orientation of its faces relative to it.
 """
 
 from dataclasses import dataclass, replace
@@ -31,22 +32,16 @@ class BoundaryTag(IntEnum):
 
 
 @dataclass(frozen=True)
-class Face:
-    vertices: tuple        # sorted global vertex triple
-    normal: np.ndarray     # unit normal induced by sorted vertex order
-    area: float
-    owner: int
-    neighbor: int          # -1 on the boundary
-    tag: BoundaryTag = BoundaryTag.INTERIOR
-
-
-@dataclass(frozen=True)
 class Mesh:
-    vertices: np.ndarray          # (nv, 3)
-    elements: np.ndarray          # (ne, 4), positively oriented
-    faces: tuple                  # tuple[Face], sorted by vertex triple
-    element_faces: np.ndarray     # (ne, 4) global face index per local face
-    element_face_signs: np.ndarray  # (ne, 4) +/-1 vs stored face normal
+    vertices: np.ndarray            # (nv, 3)
+    elements: np.ndarray            # (ne, 4), positively oriented
+    element_faces: np.ndarray       # (ne, 4) global face index per local face
+    element_face_signs: np.ndarray  # (ne, 4) +/-1 vs the stored face normal
+    face_vertices: np.ndarray       # (nf, 3) sorted vertex triples, in sorted order
+    face_elements: np.ndarray       # (nf, 2) owner and neighbour, -1 on the boundary
+    face_normals: np.ndarray        # (nf, 3) unit normals of the sorted vertex order
+    face_areas: np.ndarray          # (nf,)
+    face_tags: np.ndarray           # (nf,) BoundaryTag values
 
     @property
     def num_elements(self):
@@ -54,12 +49,7 @@ class Mesh:
 
     @property
     def num_faces(self):
-        return len(self.faces)
-
-    @property
-    def face_tags(self):
-        """(nf,) BoundaryTag values of the faces."""
-        return np.array([f.tag for f in self.faces], dtype=int)
+        return len(self.face_vertices)
 
 
 def row_dot(a, b):
@@ -94,6 +84,8 @@ def outward_normal(mesh, e, local_face):
 
 
 def _build_faces(vertices, elements):
+    """The face table of a mesh, as keyword arguments of Mesh: every field
+    from element_faces on, all faces tagged INTERIOR."""
     keys = np.sort(elements[:, LOCAL_FACES], axis=-1).reshape(-1, 3)  # slot 4 e + lf
     triples, first, slots, counts = np.unique(
         keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
@@ -101,14 +93,13 @@ def _build_faces(vertices, elements):
         raise ValueError(f"face {tuple(triples[counts.argmax()].tolist())} "
                          "shared by more than two elements")
     last = len(keys) - 1 - np.unique(keys[::-1], axis=0, return_index=True)[1]
-    neighbor = np.where(counts == 2, last // 4, -1)
     normals, areas = face_normal_area(*np.moveaxis(vertices[triples], 1, 0))
-    faces = tuple(Face(tuple(t), nrm, a, o, nb) for t, nrm, a, o, nb in zip(
-        triples.tolist(), normals, areas, (first // 4).tolist(), neighbor.tolist()))
     element_faces = slots.reshape(-1, 4)
     signs = np.where(row_dot(_outward_normals(vertices, elements),
                                normals[element_faces]) > 0, 1, -1)
-    return faces, element_faces, signs
+    return dict(element_faces=element_faces, element_face_signs=signs, face_vertices=triples,
+                face_elements=np.stack([first // 4, np.where(counts == 2, last // 4, -1)], 1),
+                face_normals=normals, face_areas=areas, face_tags=np.zeros(len(triples), int))
 
 
 def _finish_mesh(vertices, elements):
@@ -118,8 +109,7 @@ def _finish_mesh(vertices, elements):
     v = vertices[elements]
     flip = np.linalg.det(v[:, 1:] - v[:, :1]) < 0
     elements[flip, 2:] = elements[flip, 2:][:, ::-1]
-    faces, element_faces, signs = _build_faces(vertices, elements)
-    return Mesh(vertices, elements, faces, element_faces, signs)
+    return Mesh(vertices, elements, **_build_faces(vertices, elements))
 
 
 def build_structured_cube(n):
@@ -136,43 +126,34 @@ def build_structured_cube(n):
     return _finish_mesh(vertices, elements.reshape(-1, 4))
 
 
-def _boundary_plane(mesh, face):
-    """Return (axis, value) if all face vertices lie on a cube wall, else None."""
-    pts = mesh.vertices[list(face.vertices)]
-    for axis in range(3):
-        for value in (0.0, 1.0):
-            if np.all(np.abs(pts[:, axis] - value) < _GEOM_TOL):
-                return axis, value
-    return None
+_UNIFORM_TAGS = {"all-dirichlet": BoundaryTag.DIRICHLET, "all-neumann": BoundaryTag.NEUMANN,
+                 "impedance": BoundaryTag.IMPEDANCE}
 
 
 def tag_boundary(mesh, config):
     """Return a mesh with boundary faces tagged per configuration.
 
     config: 'all-dirichlet', 'all-neumann', 'impedance', or 'mixed'
-    (mixed: z = 0 and z = 1 walls Dirichlet, the four side walls Neumann).
+    (mixed: z = 0 and z = 1 walls Dirichlet, the four side walls Neumann;
+    a boundary face on no unit-cube wall raises ValueError).
     """
-    if config not in ("all-dirichlet", "all-neumann", "impedance", "mixed"):
+    if config not in (*_UNIFORM_TAGS, "mixed"):
         raise ValueError(f"unknown boundary configuration {config!r}")
-    new_faces = []
-    for face in mesh.faces:
-        if face.neighbor >= 0:
-            new_faces.append(replace(face, tag=BoundaryTag.INTERIOR))
-            continue
-        if config == "all-dirichlet":
-            tag = BoundaryTag.DIRICHLET
-        elif config == "all-neumann":
-            tag = BoundaryTag.NEUMANN
-        elif config == "impedance":
-            tag = BoundaryTag.IMPEDANCE
-        else:
-            plane = _boundary_plane(mesh, face)
-            if plane is None:
-                raise ValueError(f"boundary face {face.vertices} not on a unit-cube wall")
-            axis, _ = plane
-            tag = BoundaryTag.DIRICHLET if axis == 2 else BoundaryTag.NEUMANN
-        new_faces.append(replace(face, tag=tag))
-    return replace(mesh, faces=tuple(new_faces))
+    boundary = np.flatnonzero(mesh.face_elements[:, 1] < 0)
+    tags = np.full(mesh.num_faces, BoundaryTag.INTERIOR, dtype=int)
+    if config == "mixed":
+        pts = mesh.vertices[mesh.face_vertices[boundary]]            # (nb, 3, 3)
+        # on_wall[f, axis]: all three vertices at 0, or all at 1, along axis
+        on_wall = np.any(np.all(np.abs(pts[..., None] - [0.0, 1.0]) < _GEOM_TOL, axis=1), axis=-1)
+        off = ~on_wall.any(axis=1)
+        if off.any():
+            triple = tuple(mesh.face_vertices[boundary[off.argmax()]].tolist())
+            raise ValueError(f"boundary face {triple} not on a unit-cube wall")
+        tags[boundary] = np.where(on_wall.argmax(axis=1) == 2,
+                                  BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN)
+    else:
+        tags[boundary] = _UNIFORM_TAGS[config]
+    return replace(mesh, face_tags=tags)
 
 
 def dissection_order(mesh):
@@ -182,12 +163,11 @@ def dissection_order(mesh):
     cut rank t in [0.3 n, 0.7 n] of the centroid ranking along an axis that
     minimizes (faces crossing the cut) n / min(t, n - t). The faces shared
     by the two halves follow both halves. Uses only the element centroids
-    and element_faces."""
-    ne, ef = mesh.num_elements, mesh.element_faces
+    and face_elements."""
+    ne = mesh.num_elements
     centroids = mesh.vertices[mesh.elements].mean(axis=1)
-    # the two elements of each face; a boundary face names its element twice
-    face_elements = np.stack([np.unique(ef, return_index=True)[1] // 4,
-                              ne - 1 - np.unique(ef[::-1], return_index=True)[1] // 4], axis=1)
+    # the two elements of each face; a boundary face names its owner twice
+    face_elements = np.where(mesh.face_elements < 0, mesh.face_elements[:, :1], mesh.face_elements)
     rank, axes, order = np.empty((3, ne), dtype=int), np.arange(3)[:, None], []
 
     def dissect(elements, faces):
@@ -237,6 +217,10 @@ def load_mesh(path):
     vals = tokens[2:]
     vertices = np.array(vals[: 3 * nv], dtype=float).reshape(nv, 3)
     elements = np.array(vals[3 * nv:], dtype=int).reshape(ne, 4)
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError(f"mesh file {path}: non-finite vertex coordinate")
     if elements.min() < 0 or elements.max() >= nv:
         raise ValueError(f"mesh file {path}: element vertex index out of range")
+    if np.any(np.diff(np.sort(elements, axis=1), axis=1) == 0):
+        raise ValueError(f"mesh file {path}: element names a vertex twice")
     return _finish_mesh(vertices, elements)

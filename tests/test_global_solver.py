@@ -76,9 +76,9 @@ def test_dirichlet_trace_projection(poly_setup):
     disc, _, _ = poly_setup
     g = lambda p: np.stack([1 + p[:, 0], p[:, 1] - 2 * p[:, 2], p[:, 2]], axis=1)
     vals = solve_dirichlet_trace(disc, g)
-    for fi, face in enumerate(disc.mesh.faces):
-        pts = disc.face_data(fi).points
-        if face.tag == BoundaryTag.DIRICHLET:
+    for fi, tag in enumerate(disc.mesh.face_tags):
+        pts = disc.face_points[fi]
+        if tag == BoundaryTag.DIRICHLET:
             assert np.abs(disc.eval_face(fi, vals[fi], pts) - g(pts)).max() < 1e-12
         else:
             assert np.abs(vals[fi]).max() == 0
@@ -88,12 +88,12 @@ def test_dirichlet_trace_residual_orthogonal(poly_setup):
     disc, _, _ = poly_setup
     case = make_case("pwave", kappa=1.0)
     vals = solve_dirichlet_trace(disc, case.g_d)
-    for fi, face in enumerate(disc.mesh.faces):
-        if face.tag != BoundaryTag.DIRICHLET:
+    for fi, tag in enumerate(disc.mesh.face_tags):
+        if tag != BoundaryTag.DIRICHLET:
             continue
-        fd = disc.face_data(fi)
-        resid = case.g_d(fd.points) - disc.eval_face(fi, vals[fi], fd.points)
-        moments = np.einsum("q,qd,ql->dl", fd.weights, resid, fd.chi)
+        pts = disc.face_points[fi]
+        resid = case.g_d(pts) - disc.eval_face(fi, vals[fi], pts)
+        moments = np.einsum("q,qd,ql->dl", disc.face_weights[fi], resid, disc.face_chi[fi])
         assert np.abs(moments).max() < 1e-11
 
 
@@ -250,8 +250,8 @@ def test_dirichlet_trace_equals_projected_data(poly_setup):
     disc, case, data = poly_setup
     sol, _ = solve_time_harmonic(disc, case.material, data,
                                  VARIANTS["first_order"])
-    for fi, face in enumerate(disc.mesh.faces):
-        if face.tag != BoundaryTag.DIRICHLET:
+    for fi, tag in enumerate(disc.mesh.face_tags):
+        if tag != BoundaryTag.DIRICHLET:
             continue
         ref = disc.project_face(fi, data.dirichlet())
         assert np.abs(sol.uhat[fi] - ref).max() < 1e-12 * max(np.abs(ref).max(), 1)
@@ -268,14 +268,14 @@ def test_boundary_data_matches_per_face_quadrature(bc):
     g, imp = boundary_data(disc, data)
     g, imp = g.reshape(mesh.num_faces, 3, disc.nF), imp.reshape(mesh.num_faces, -1)
     datum = data.neumann() if bc == "all-neumann" else data.impedance()
-    for fi, face in enumerate(mesh.faces):
-        if face.neighbor >= 0:
+    for fi, (owner, neighbor) in enumerate(mesh.face_elements):
+        if neighbor >= 0:
             assert not g[fi].any() and not imp[fi].any()
             continue
-        fd = disc.face_data(fi)
-        lf = list(mesh.element_faces[face.owner]).index(fi)
-        n = np.broadcast_to(outward_normal(mesh, face.owner, lf), fd.points.shape)
-        ref = np.einsum("q,qd,ql->dl", fd.weights, datum(fd.points, n), fd.chi)
+        pts = disc.face_points[fi]
+        lf = list(mesh.element_faces[owner]).index(fi)
+        n = np.broadcast_to(outward_normal(mesh, owner, lf), pts.shape)
+        ref = np.einsum("q,qd,ql->dl", disc.face_weights[fi], datum(pts, n), disc.face_chi[fi])
         assert np.abs(g[fi] - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.all(imp[fi] == (1.3j if bc == "impedance" else 0))
 

@@ -73,12 +73,12 @@ def test_green_identity_closure(setup):
         surf = np.zeros((b.nW3, b.nS))
         for lf in range(4):
             fi = mesh.element_faces[e, lf]
-            fd = disc.face_data(fi)
-            n = mesh.element_face_signs[e, lf] * mesh.faces[fi].normal
+            pts = disc.face_points[fi]
+            n = mesh.element_face_signs[e, lf] * mesh.face_normals[fi]
             en = np.einsum("ade,e->ad", SYM_MATS, n)
-            pf = disc.scalar_basis_at(e, fd.points, "V")
-            sf = disc.scalar_basis_at(e, fd.points, "W")
-            surf += np.einsum("q,ad,qi,qj->djai", fd.weights, en, pf,
+            pf = disc.scalar_basis_at(e, pts, "V")
+            sf = disc.scalar_basis_at(e, pts, "W")
+            surf += np.einsum("q,ad,qi,qj->djai", disc.face_weights[fi], en, pf,
                               sf).reshape(b.nW3, b.nS)
         assert np.abs(b.D + grad_term - surf).max() < 1e-12
 
@@ -100,9 +100,8 @@ def test_stabilization_quadratic_form(setup):
         # T22 contribution of this element-face is tau * identity
         quad = b.tau * mu @ mu
         fi = disc.mesh.element_faces[e, lf]
-        fd = disc.face_data(fi)
-        vals = np.einsum("dl,ql->qd", mu.reshape(3, disc.nF), fd.chi)
-        direct = b.tau * np.einsum("q,qd->", fd.weights, vals ** 2)
+        vals = np.einsum("dl,ql->qd", mu.reshape(3, disc.nF), disc.face_chi[fi])
+        direct = b.tau * np.einsum("q,qd->", disc.face_weights[fi], vals ** 2)
         assert abs(quad - direct) < 1e-12 * max(abs(quad), 1)
 
 

@@ -1,5 +1,6 @@
 """Structured cube meshes: counts, orientation, tagging, nestedness, io."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,14 +21,14 @@ def test_counts_n1():
     assert mesh.num_elements == 6
     assert len(mesh.vertices) == 8
     assert mesh.num_faces == 18
-    assert sum(f.neighbor < 0 for f in mesh.faces) == 12
+    assert np.sum(mesh.face_elements[:, 1] < 0) == 12
 
 
 def test_counts_n2():
     mesh = build_structured_cube(2)
     assert mesh.num_elements == 48
     assert mesh.num_faces == 120
-    assert sum(f.neighbor < 0 for f in mesh.faces) == 48
+    assert np.sum(mesh.face_elements[:, 1] < 0) == 48
 
 
 def test_rejects_invalid_n():
@@ -54,7 +55,7 @@ def test_h_is_main_diagonal():
 
 def test_tag_mixed_n1():
     mesh = tag_boundary(build_structured_cube(1), "mixed")
-    tags = [f.tag for f in mesh.faces]
+    tags = mesh.face_tags.tolist()
     assert tags.count(BoundaryTag.DIRICHLET) == 4
     assert tags.count(BoundaryTag.NEUMANN) == 8
     assert tags.count(BoundaryTag.INTERIOR) == 6
@@ -62,12 +63,12 @@ def test_tag_mixed_n1():
 
 def test_tag_all_dirichlet_n2():
     mesh = tag_boundary(build_structured_cube(2), "all-dirichlet")
-    assert sum(f.tag == BoundaryTag.DIRICHLET for f in mesh.faces) == 48
+    assert np.sum(mesh.face_tags == BoundaryTag.DIRICHLET) == 48
 
 
 def test_tag_impedance_n1():
     mesh = tag_boundary(build_structured_cube(1), "impedance")
-    tags = [f.tag for f in mesh.faces]
+    tags = mesh.face_tags.tolist()
     assert tags.count(BoundaryTag.IMPEDANCE) == 12
     assert tags.count(BoundaryTag.DIRICHLET) == 0
 
@@ -82,7 +83,7 @@ def test_outward_normal_bottom_faces():
     for e in range(mesh.num_elements):
         for lf in range(4):
             fi = mesh.element_faces[e, lf]
-            verts = mesh.vertices[list(mesh.faces[fi].vertices)]
+            verts = mesh.vertices[mesh.face_vertices[fi]]
             if np.all(np.abs(verts[:, 2]) < 1e-12):
                 n = outward_normal(mesh, e, lf)
                 assert np.allclose(n, [0, 0, -1], atol=1e-13)
@@ -95,7 +96,7 @@ def test_outward_normal_geometric_predicate():
         cen = v.mean(axis=0)
         for lf in range(4):
             fi = mesh.element_faces[e, lf]
-            fc = mesh.vertices[list(mesh.faces[fi].vertices)].mean(axis=0)
+            fc = mesh.vertices[mesh.face_vertices[fi]].mean(axis=0)
             n = outward_normal(mesh, e, lf)
             assert abs(np.linalg.norm(n) - 1.0) < 1e-13
             assert np.dot(n, fc - cen) > 0
@@ -104,7 +105,7 @@ def test_outward_normal_geometric_predicate():
 def test_face_handshake():
     for n in (1, 2):
         mesh = build_structured_cube(n)
-        interior = sum(f.neighbor >= 0 for f in mesh.faces)
+        interior = np.sum(mesh.face_elements[:, 1] >= 0)
         boundary = mesh.num_faces - interior
         assert 4 * mesh.num_elements == 2 * interior + boundary
 
@@ -116,8 +117,8 @@ def test_interior_normals_opposite():
     for e in range(mesh.num_elements):
         for lf in range(4):
             incident[mesh.element_faces[e, lf]].append((e, lf))
-    for fi, face in enumerate(mesh.faces):
-        if face.neighbor < 0:
+    for fi, neighbor in enumerate(mesh.face_elements[:, 1]):
+        if neighbor < 0:
             continue
         (e1, lf1), (e2, lf2) = incident[fi]
         n1 = outward_normal(mesh, e1, lf1)
@@ -131,7 +132,7 @@ def test_element_closure():
         acc = np.zeros(3)
         for lf in range(4):
             fi = mesh.element_faces[e, lf]
-            acc += mesh.faces[fi].area * outward_normal(mesh, e, lf)
+            acc += mesh.face_areas[fi] * outward_normal(mesh, e, lf)
         assert np.linalg.norm(acc) < 1e-13
 
 
@@ -140,7 +141,7 @@ def test_face_signs_match_outward_normal():
     for e in range(mesh.num_elements):
         for lf in range(4):
             fi = mesh.element_faces[e, lf]
-            n = mesh.element_face_signs[e, lf] * mesh.faces[fi].normal
+            n = mesh.element_face_signs[e, lf] * mesh.face_normals[fi]
             assert np.allclose(n, outward_normal(mesh, e, lf), atol=1e-13)
 
 
@@ -170,25 +171,100 @@ def test_mesh_io_roundtrip(tmp_path):
     assert np.array_equal(again.elements, mesh.elements)
     assert again.num_faces == mesh.num_faces
     tagged = tag_boundary(again, "mixed")
-    assert sum(f.tag == BoundaryTag.DIRICHLET for f in tagged.faces) == 16
+    assert np.sum(tagged.face_tags == BoundaryTag.DIRICHLET) == 16
 
 
-def test_load_mesh_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("text, reason", [
+    ("2 1\n0 0 0\n1 0 0\n0 1 2 3\n", "out of range"),
+    ("4 1\n0 0 0\n1 0 0\nnan 1 0\n0 0 1\n0 1 2 3\n", "non-finite"),
+    ("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 1 3\n", "names a vertex twice"),
+], ids=["index-out-of-range", "non-finite", "repeated-vertex"])
+def test_load_mesh_rejects_garbage(tmp_path, text, reason):
     path = tmp_path / "bad.txt"
-    path.write_text("2 1\n0 0 0\n1 0 0\n0 1 2 3\n")
-    with pytest.raises(ValueError):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{reason}"):
         load_mesh(path)
 
 
-def test_dissection_order_names_each_face_once(tmp_path):
-    cube = build_structured_cube(3)
-    # jitter the interior vertices, so no centroid coordinates tie
+def jittered_cube(path, n=3):
+    """A structured cube with its interior vertices jittered, so no centroid
+    coordinates tie, written with save_mesh and read back."""
+    cube = build_structured_cube(n)
     rng = np.random.default_rng(5)
     inner = np.all((cube.vertices > 0) & (cube.vertices < 1), axis=1)
     vertices = cube.vertices.copy()
     vertices[inner] += rng.uniform(-0.05, 0.05, (inner.sum(), 3))
-    path = tmp_path / "jittered.txt"
     save_mesh(path, replace(cube, vertices=vertices))
-    for mesh in (cube, load_mesh(path)):
+    return load_mesh(path)
+
+
+def test_dissection_order_names_each_face_once(tmp_path):
+    for mesh in (build_structured_cube(3), jittered_cube(tmp_path / "jittered.txt")):
         order = dissection_order(mesh)
         assert np.array_equal(np.sort(order), np.arange(mesh.num_faces))
+
+
+def wall_axis(mesh, fi):
+    """The axis of the unit-cube wall that face fi lies on, or None."""
+    pts = mesh.vertices[mesh.face_vertices[fi]]
+    for axis in range(3):
+        if any(np.all(np.abs(pts[:, axis] - value) < 1e-12) for value in (0.0, 1.0)):
+            return axis
+    return None
+
+
+def reference_tag(mesh, fi, config):
+    """The tag of face fi, one face at a time, from its vertices."""
+    if mesh.face_elements[fi, 1] >= 0:
+        return BoundaryTag.INTERIOR
+    if config != "mixed":
+        return {"all-dirichlet": BoundaryTag.DIRICHLET, "all-neumann": BoundaryTag.NEUMANN,
+                "impedance": BoundaryTag.IMPEDANCE}[config]
+    return BoundaryTag.DIRICHLET if wall_axis(mesh, fi) == 2 else BoundaryTag.NEUMANN
+
+
+@pytest.mark.parametrize("kind", ["structured", "jittered"])
+def test_face_table_contract(tmp_path, kind):
+    mesh = build_structured_cube(2) if kind == "structured" \
+        else jittered_cube(tmp_path / "jittered.txt", n=2)
+    assert mesh.face_vertices.shape == (mesh.num_faces, 3)
+    assert mesh.face_elements.shape == (mesh.num_faces, 2)
+    # rows in sorted order of the sorted triples
+    assert np.all(np.diff(mesh.face_vertices, axis=1) > 0)
+    keys = [tuple(t) for t in mesh.face_vertices.tolist()]
+    assert keys == sorted(set(keys))
+    for fi, (owner, neighbor) in enumerate(mesh.face_elements):
+        for e in (owner, neighbor) if neighbor >= 0 else (owner,):
+            assert fi in mesh.element_faces[e]
+        if neighbor >= 0:
+            assert owner < neighbor
+        else:
+            assert neighbor == -1
+        lf = list(mesh.element_faces[owner]).index(fi)
+        local = np.delete(mesh.elements[owner], lf)
+        assert np.array_equal(mesh.face_vertices[fi], np.sort(local))
+        va, vb, vc = mesh.vertices[mesh.face_vertices[fi]]
+        cross = np.cross(vb - va, vc - va)
+        assert abs(mesh.face_areas[fi] - 0.5 * np.linalg.norm(cross)) < 1e-15
+        assert np.allclose(mesh.face_normals[fi], cross / np.linalg.norm(cross), atol=1e-15)
+    # every (element, local face) slot names a face that names the element
+    counts = np.bincount(mesh.element_faces.ravel(), minlength=mesh.num_faces)
+    assert np.array_equal(counts, np.where(mesh.face_elements[:, 1] >= 0, 2, 1))
+    assert np.all(mesh.face_tags == BoundaryTag.INTERIOR)
+    for config in ("all-dirichlet", "all-neumann", "impedance", "mixed"):
+        tagged = tag_boundary(mesh, config)
+        ref = [reference_tag(mesh, fi, config) for fi in range(mesh.num_faces)]
+        assert tagged.face_tags.tolist() == ref, config
+
+
+def test_tag_mixed_rejects_face_off_the_unit_cube(tmp_path):
+    cube = build_structured_cube(2)
+    path = tmp_path / "doubled.txt"
+    save_mesh(path, replace(cube, vertices=2 * cube.vertices))
+    mesh = load_mesh(path)
+    # reference: the first boundary face in face order on no unit-cube wall
+    off = [fi for fi in range(mesh.num_faces)
+           if mesh.face_elements[fi, 1] < 0 and wall_axis(mesh, fi) is None]
+    triple = tuple(mesh.face_vertices[off[0]].tolist())
+    with pytest.raises(ValueError, match=re.escape(f"boundary face {triple} not on a unit-cube wall")):
+        tag_boundary(mesh, "mixed")

@@ -155,7 +155,7 @@ def test_project_face_linear_exact(disc1):
     g = lambda p: np.stack([1 + p[:, 0] - p[:, 2], 2 * p[:, 1], p[:, 2]], axis=1)
     for fi in (0, 5, 11):
         coeffs = disc1.project_face(fi, g)
-        pts = disc1.face_data(fi).points
+        pts = disc1.face_points[fi]
         assert np.abs(disc1.eval_face(fi, coeffs, pts) - g(pts)).max() < 1e-12
 
 
@@ -163,7 +163,7 @@ def test_project_face_constant_k0():
     disc = Discretization(tag_boundary(build_structured_cube(1), "mixed"), 0)
     g = lambda p: np.tile([1.0, 2.0, 3.0], (len(p), 1))
     coeffs = disc.project_face(4, g)
-    pts = disc.face_data(4).points
+    pts = disc.face_points[4]
     assert np.abs(disc.eval_face(4, coeffs, pts) - g(pts)).max() < 1e-13
 
 
@@ -172,9 +172,9 @@ def test_project_face_residual_orthogonal(disc1):
     g = lambda p: np.stack([p[:, 0] ** 2, 0 * p[:, 0], 0 * p[:, 0]], axis=1)
     fi = 3
     coeffs = disc1.project_face(fi, g)
-    fd = disc1.face_data(fi)
-    resid = g(fd.points) - disc1.eval_face(fi, coeffs, fd.points)
-    moments = np.einsum("q,qd,ql->dl", fd.weights, resid, fd.chi)
+    pts = disc1.face_points[fi]
+    resid = g(pts) - disc1.eval_face(fi, coeffs, pts)
+    moments = np.einsum("q,qd,ql->dl", disc1.face_weights[fi], resid, disc1.face_chi[fi])
     assert np.abs(moments).max() < 1e-11
 
 
@@ -184,11 +184,11 @@ def test_face_projection_single_valued():
     mesh = disc.mesh
     g = lambda p: np.stack([np.sin(p[:, 0]), p[:, 1] * p[:, 2],
                             np.cos(p[:, 2])], axis=1)
-    for fi, face in enumerate(mesh.faces):
-        if face.neighbor < 0:
+    for fi, neighbor in enumerate(mesh.face_elements[:, 1]):
+        if neighbor < 0:
             continue
         coeffs = disc.project_face(fi, g)
-        pts = disc.face_data(fi).points
+        pts = disc.face_points[fi]
         vals = disc.eval_face(fi, coeffs, pts)
         # evaluate through both elements' views of the physical points
         assert np.isfinite(vals).all()
@@ -201,7 +201,7 @@ def test_trace_compatibility(disc1):
                             3 * p[:, 2]], axis=1)
     for fi in range(disc1.mesh.num_faces):
         coeffs = disc1.project_face(fi, u)
-        pts = disc1.face_data(fi).points
+        pts = disc1.face_points[fi]
         assert np.abs(disc1.eval_face(fi, coeffs, pts) - u(pts)).max() < 1e-12
 
 

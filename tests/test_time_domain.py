@@ -106,13 +106,12 @@ def test_energy_matches_quadrature(systems):
         uc = st.u[e * nW3:(e + 1) * nW3].reshape(3, disc.nW)
         for lf in range(4):
             fi = mesh.element_faces[e, lf]
-            if mesh.faces[fi].tag == BoundaryTag.DIRICHLET:
+            if mesh.face_tags[fi] == BoundaryTag.DIRICHLET:
                 mhat = np.zeros(3 * disc.nF)
             else:
-                mhat = m[system.skeleton.face_dofs(fi)]
-            fd = disc.face_data(fi)
-            tru = disc.eval_w(e, uc, fd.points)
-            pmu = np.einsum("q,qd,ql->dl", fd.weights, tru, fd.chi).ravel()
+                mhat = m.reshape(-1, 3 * disc.nF)[np.searchsorted(system.skeleton.active, fi)]
+            tru = disc.eval_w(e, uc, disc.face_points[fi])
+            pmu = np.einsum("q,qd,ql->dl", disc.face_weights[fi], tru, disc.face_chi[fi]).ravel()
             diff = pmu - mhat
             e_int += 0.5 * disc.tau(e) * diff @ diff
     assert abs(interface - e_int) < 1e-12 * max(abs(interface), 1.0)
