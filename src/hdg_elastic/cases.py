@@ -1,13 +1,14 @@
 """Manufactured exact solutions and their derived data.
 
-Each case fixes a displacement field u, a material and a frequency; the
-stress sigma = 2 mu eps(u) + lam div(u) I and the load f = div(sigma) +
-kappa^2 rho u are derived symbolically and lambdified, so the data satisfy
-the governing equations exactly. Boundary data are traces of the exact
-fields: g_d = u, g_n = sigma n, g_r = sigma n + i kappa u. The impedance
-sign is the one that matches the first-order flux (alpha = i kappa): the
-impedance and stabilization terms then enter the imaginary part of the
-discrete energy identity with the same sign.
+Each case fixes a displacement field u, a material and a frequency. Every
+field is a sympy expression: the stress sigma = 2 mu eps(u) + lam div(u) I
+and the load f = div(sigma) + kappa^2 rho u are derived symbolically from u
+and the material's expressions, and u, sigma and f are lambdified by the one
+helper materials.lambdify_field, so the data satisfy the governing equations
+exactly. Boundary data are traces of the exact fields: g_d = u, g_n = sigma n,
+g_r = sigma n + i kappa u. The impedance sign is the one that matches the
+first-order flux (alpha = i kappa): the impedance and stabilization terms then
+enter the imaginary part of the discrete energy identity with the same sign.
 """
 
 from dataclasses import dataclass
@@ -15,35 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .materials import X1, X2, X3, isotropic, variable_preset
+from .materials import X1, X2, X3, isotropic, lambdify_field, variable_preset
 
 _XS = (X1, X2, X3)
 _UNIT_TOL = 1e-12
-
-
-def _lambdify_vec(exprs):
-    funcs = [sp.lambdify(_XS, e, "numpy") for e in exprs]
-
-    def f(x):
-        x = np.asarray(x)
-        args = (x[..., 0], x[..., 1], x[..., 2])
-        cols = [np.broadcast_to(np.asarray(fn(*args)), x.shape[:-1]) for fn in funcs]
-        return np.stack(cols, axis=-1)
-
-    return f
-
-
-def _lambdify_mat(exprs):
-    funcs = [[sp.lambdify(_XS, exprs[i][j], "numpy") for j in range(3)] for i in range(3)]
-
-    def f(x):
-        x = np.asarray(x)
-        args = (x[..., 0], x[..., 1], x[..., 2])
-        rows = [np.stack([np.broadcast_to(np.asarray(funcs[i][j](*args)), x.shape[:-1])
-                          for j in range(3)], axis=-1) for i in range(3)]
-        return np.stack(rows, axis=-2)
-
-    return f
 
 
 @dataclass(frozen=True)
@@ -76,14 +52,12 @@ def _build_case(tag, u_exprs, material, kappa, params):
     lam, mu, rho = material.lam_expr, material.mu_expr, material.rho_expr
     grad = [[sp.diff(u_exprs[i], _XS[j]) for j in range(3)] for i in range(3)]
     div_u = sum(grad[i][i] for i in range(3))
-    sigma = [[sp.expand(mu * (grad[i][j] + grad[j][i])
-                        + (lam * div_u if i == j else 0)) for j in range(3)]
-             for i in range(3)]
-    f = [sp.expand(sum(sp.diff(sigma[i][j], _XS[j]) for j in range(3))
-                   + kappa ** 2 * rho * u_exprs[i]) for i in range(3)]
-    return ExactCase(tag, float(kappa), material,
-                     _lambdify_vec(u_exprs), _lambdify_mat(sigma),
-                     _lambdify_vec(f), params)
+    sigma = [[mu * (grad[i][j] + grad[j][i]) + (lam * div_u if i == j else 0)
+              for j in range(3)] for i in range(3)]
+    f = [sum(sp.diff(sigma[i][j], _XS[j]) for j in range(3)) + kappa ** 2 * rho * u_exprs[i]
+         for i in range(3)]
+    return ExactCase(tag, float(kappa), material, lambdify_field(u_exprs),
+                     lambdify_field(sigma), lambdify_field(f), params)
 
 
 def _varcoeff_case(kappa):

@@ -61,26 +61,14 @@ class ProblemData:
     Raises ValueError for a kappa that is NaN, infinite or negative.
     """
     kappa: float
-    f: callable = None
-    g_d: callable = None
-    g_n: callable = None
-    g_r: callable = None
+    f: callable = _zero_vector_field
+    g_d: callable = _zero_vector_field
+    g_n: callable = _zero_vector_field
+    g_r: callable = _zero_vector_field
 
     def __post_init__(self):
         if not np.isfinite(self.kappa) or self.kappa < 0:
             raise ValueError(f"kappa must be finite and nonnegative, got {self.kappa!r}")
-
-    def load(self):
-        return self.f if self.f is not None else _zero_vector_field
-
-    def dirichlet(self):
-        return self.g_d if self.g_d is not None else _zero_vector_field
-
-    def neumann(self):
-        return self.g_n if self.g_n is not None else _zero_vector_field
-
-    def impedance(self):
-        return self.g_r if self.g_r is not None else _zero_vector_field
 
 
 def trace_dofs(mesh, nFd):
@@ -177,8 +165,7 @@ def boundary_data(disc, data):
     g = np.zeros((mesh.num_faces, 3 * disc.nF), dtype=complex)
     imp = np.zeros_like(g)
     imp[tags == BoundaryTag.IMPEDANCE] = 1j * data.kappa
-    for tag, datum in ((BoundaryTag.NEUMANN, data.neumann()),
-                       (BoundaryTag.IMPEDANCE, data.impedance())):
+    for tag, datum in ((BoundaryTag.NEUMANN, data.g_n), (BoundaryTag.IMPEDANCE, data.g_r)):
         faces = np.flatnonzero(tags == tag)
         if faces.size:
             owner = mesh.face_elements[faces, 0]             # a boundary face's one element
@@ -225,7 +212,7 @@ def assemble_hybrid(disc, material, data, variant):
     ne, nFd = mesh.num_elements, 3 * disc.nF
     nM, n = 4 * nFd, 6 * disc.nV + 3 * disc.nW
     skel = SkeletonMap(mesh, nFd)
-    dir_values = solve_dirichlet_trace(disc, data.dirichlet())
+    dir_values = solve_dirichlet_trace(disc, data.g_d)
     g, imp = boundary_data(disc, data)
     S = np.empty((ne, nM, nM), dtype=complex)
     loads = np.empty((ne, nM), dtype=complex)
@@ -236,7 +223,7 @@ def assemble_hybrid(disc, material, data, variant):
     condense_s = 0.0
     for batch in element_batches(ne, block_bytes(disc)):
         blocks = element_blocks(disc, material, batch)
-        f = load_moments(disc, batch, data.load())
+        f = load_moments(disc, batch, data.f)
         t0 = time.perf_counter()
         S[batch], loads[batch], X[batch], z[batch], cond[batch] = \
             condense_batch(blocks, data.kappa, variant, f)
@@ -379,12 +366,12 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
         alpha = variant.alpha(kappa)
     ops = global_operators(disc, material)
     g, imp = boundary_data(disc, data)
-    fixed = solve_dirichlet_trace(disc, data.dirichlet())
+    fixed = solve_dirichlet_trace(disc, data.g_d)
     nS, nW3, nFd = 6 * disc.nV, 3 * disc.nW, 3 * disc.nF
     is_fixed = np.repeat(mesh.face_tags == BoundaryTag.DIRICHLET, nFd)
     keep, fix = sps.diags((~is_fixed).astype(float)), sps.diags(is_fixed.astype(float))
     T22 = sps.diags(ops.t22)
-    loads = load_moments(disc, np.arange(mesh.num_elements), data.load()).ravel()
+    loads = load_moments(disc, np.arange(mesh.num_elements), data.f).ravel()
     if form == "second":
         data_scale, g_scale = 1.0, 1.0
         blocks = [[ops.A, ops.D.T, -ops.N.T],

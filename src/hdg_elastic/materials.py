@@ -4,12 +4,15 @@ Symmetric 3x3 tensors are packed as 6-vectors of matrix entries in the order
 (11, 22, 33, 23, 13, 12); off-diagonal entries are stored unscaled, and the
 Frobenius pairing carries an explicit factor 2 on the off-diagonal slots.
 
-Coefficient fields are given both as vectorized numpy callables (points of
-shape (..., 3)) and as sympy expressions in x1, x2, x3 so that manufactured
-data can be derived symbolically.
+Every field is a sympy expression in x1, x2, x3: the material coefficients
+here and the manufactured data in cases.py. One helper, lambdify_field,
+turns a scalar, vector or matrix expression into a vectorized callable of
+points (..., 3), so the solver evaluates the same expressions from which the
+data are derived.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -45,23 +48,42 @@ def unpack_sym(packed):
     return np.einsum("...c,cij->...ij", packed, SYM_MATS.astype(packed.dtype, copy=False))
 
 
-def _as_field(value):
-    """Turn a constant into a vectorized coefficient callable."""
-    if callable(value):
-        return value
-    const = float(value)
-    return lambda x: np.full(np.asarray(x).shape[:-1], const)
+def lambdify_field(exprs):
+    """Vectorized callable of a sympy field in x1, x2, x3: a scalar expression,
+    a list of 3 or a 3x3 nested list. It maps points (..., 3) to values of
+    shape (...,) + the field's shape, every component (a constant too) broadcast
+    to the batch shape, and real values to floats."""
+    exprs = np.array(exprs, dtype=object)
+    fn = sp.lambdify((X1, X2, X3), exprs.ravel().tolist(), "numpy")
+
+    def field(x):
+        x = np.asarray(x)
+        cols = [np.broadcast_to(v, x.shape[:-1]) for v in fn(*np.moveaxis(x, -1, 0))]
+        return np.stack(cols, axis=-1, dtype=np.result_type(float, *cols)).reshape(
+            x.shape[:-1] + exprs.shape)
+
+    return field
 
 
 @dataclass(frozen=True)
 class Material:
-    """rho, lam, mu as callables of points (..., 3); sympy twins for data derivation."""
-    rho: callable
-    lam: callable
-    mu: callable
+    """rho, lam and mu as sympy expressions in x1, x2, x3, with their callables
+    of points (..., 3) lambdified once, at first use."""
     rho_expr: sp.Expr
     lam_expr: sp.Expr
     mu_expr: sp.Expr
+
+    @cached_property
+    def rho(self):
+        return lambdify_field(self.rho_expr)
+
+    @cached_property
+    def lam(self):
+        return lambdify_field(self.lam_expr)
+
+    @cached_property
+    def mu(self):
+        return lambdify_field(self.mu_expr)
 
     def validate(self, points):
         lam, mu, rho = self.lam(points), self.mu(points), self.rho(points)
@@ -72,16 +94,14 @@ class Material:
 
     def stiffness_packed(self, points):
         """(..., 6, 6) entry representation of C xi = 2 mu xi + lam tr(xi) I."""
-        lam = np.asarray(self.lam(points), dtype=float)
-        mu = np.asarray(self.mu(points), dtype=float)
+        lam, mu = self.lam(points), self.mu(points)
         eye = np.eye(6)
         tr = np.outer(_TRACE_PICK, _TRACE_PICK)
         return 2.0 * mu[..., None, None] * eye + lam[..., None, None] * tr
 
     def compliance_packed(self, points):
         """(..., 6, 6) entry representation of the inverse law A = C^-1."""
-        lam = np.asarray(self.lam(points), dtype=float)
-        mu = np.asarray(self.mu(points), dtype=float)
+        lam, mu = self.lam(points), self.mu(points)
         eye = np.eye(6)
         tr = np.outer(_TRACE_PICK, _TRACE_PICK)
         coef = lam / (2.0 * mu * (2.0 * mu + 3.0 * lam))
@@ -89,15 +109,12 @@ class Material:
 
     def compliance_bound(self, points):
         """Pointwise spectral norm of A: max(1/(2 mu), 1/(2 mu + 3 lam))."""
-        lam = np.asarray(self.lam(points), dtype=float)
-        mu = np.asarray(self.mu(points), dtype=float)
+        lam, mu = self.lam(points), self.mu(points)
         return np.maximum(1.0 / (2.0 * mu), 1.0 / (2.0 * mu + 3.0 * lam))
 
     def wavespeeds(self, points):
         """(c_p, c_s) = (sqrt((lam + 2 mu)/rho), sqrt(mu/rho))."""
-        lam = np.asarray(self.lam(points), dtype=float)
-        mu = np.asarray(self.mu(points), dtype=float)
-        rho = np.asarray(self.rho(points), dtype=float)
+        lam, mu, rho = self.lam(points), self.mu(points), self.rho(points)
         return np.sqrt((lam + 2.0 * mu) / rho), np.sqrt(mu / rho)
 
 
@@ -120,27 +137,13 @@ def isotropic(lam, mu, rho):
         raise ValueError("require mu > 0 and 3*lam + 2*mu > 0")
     if rho <= 0:
         raise ValueError("density must be positive")
-    return Material(_as_field(rho), _as_field(lam), _as_field(mu),
-                    sp.Float(rho), sp.Float(lam), sp.Float(mu))
+    # 17 digits, so the lambdified constants are the given doubles exactly
+    return Material(sp.Float(rho), sp.Float(lam), sp.Float(mu))
 
 
 def variable_preset():
     """Smooth variable-coefficient preset on the unit cube."""
-    rho_e = 1 + X1 ** 2 + X2 ** 2 + X3 ** 2
-    lam_e = 2 + sp.Rational(2, 10) * X1 ** 2 + sp.Rational(3, 10) * X2 ** 2 \
-        + sp.Rational(4, 100) * X3 ** 2
-    mu_e = 3 + sp.Rational(5, 10) * X2 ** 2 + sp.Rational(3, 100) * X3 ** 2
-
-    def rho(x):
-        x = np.asarray(x, dtype=float)
-        return 1 + (x ** 2).sum(axis=-1)
-
-    def lam(x):
-        x = np.asarray(x, dtype=float)
-        return 2 + 0.2 * x[..., 0] ** 2 + 0.3 * x[..., 1] ** 2 + 0.04 * x[..., 2] ** 2
-
-    def mu(x):
-        x = np.asarray(x, dtype=float)
-        return 3 + 0.5 * x[..., 1] ** 2 + 0.03 * x[..., 2] ** 2
-
-    return Material(rho, lam, mu, rho_e, lam_e, mu_e)
+    return Material(1 + X1 ** 2 + X2 ** 2 + X3 ** 2,
+                    2 + sp.Rational(2, 10) * X1 ** 2 + sp.Rational(3, 10) * X2 ** 2
+                    + sp.Rational(4, 100) * X3 ** 2,
+                    3 + sp.Rational(5, 10) * X2 ** 2 + sp.Rational(3, 100) * X3 ** 2)

@@ -204,23 +204,36 @@ def save_mesh(path, mesh):
             fh.write(f"{el[0]} {el[1]} {el[2]} {el[3]}\n")
 
 
+def _numbers(path, tokens, dtype):
+    try:
+        return np.array(tokens, dtype=dtype)
+    except ValueError as err:
+        raise ValueError(f"mesh file {path}: non-numeric token ({err})") from None
+
+
 def load_mesh(path):
     """Read the text mesh format written by save_mesh."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"mesh file {path} is empty or truncated")
-    nv, ne = int(tokens[0]), int(tokens[1])
+    nv, ne = _numbers(path, tokens[:2], int)
+    if nv < 1 or ne < 1:
+        raise ValueError(f"mesh file {path}: no vertices or no elements (header {nv} {ne})")
     need = 2 + 3 * nv + 4 * ne
     if len(tokens) != need:
         raise ValueError(f"mesh file {path}: expected {need} tokens, found {len(tokens)}")
-    vals = tokens[2:]
-    vertices = np.array(vals[: 3 * nv], dtype=float).reshape(nv, 3)
-    elements = np.array(vals[3 * nv:], dtype=int).reshape(ne, 4)
+    vertices = _numbers(path, tokens[2:2 + 3 * nv], float).reshape(nv, 3)
+    elements = _numbers(path, tokens[2 + 3 * nv:], int).reshape(ne, 4)
     if not np.all(np.isfinite(vertices)):
         raise ValueError(f"mesh file {path}: non-finite vertex coordinate")
     if elements.min() < 0 or elements.max() >= nv:
         raise ValueError(f"mesh file {path}: element vertex index out of range")
     if np.any(np.diff(np.sort(elements, axis=1), axis=1) == 0):
         raise ValueError(f"mesh file {path}: element names a vertex twice")
+    # zero volume: |det| of the edges at roundoff of its bound, the product of their lengths
+    edges = vertices[elements[:, 1:]] - vertices[elements[:, :1]]
+    flat = np.abs(np.linalg.det(edges)) <= _GEOM_TOL * np.linalg.norm(edges, axis=-1).prod(-1)
+    if flat.any():
+        raise ValueError(f"mesh file {path}: element {flat.argmax()} has zero volume")
     return _finish_mesh(vertices, elements)

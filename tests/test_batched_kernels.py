@@ -48,7 +48,7 @@ def test_batched_condensation_matches_per_element(mixed2, small_batches, tag):
     disc, case, data = mixed2
     variant, kappa = VARIANTS[tag], data.kappa
     for batch in small_batches(disc):
-        f = load_moments(disc, batch, data.load())
+        f = load_moments(disc, batch, data.f)
         S, loads, _, _, cond = condense_batch(
             element_blocks(disc, case.material, batch), kappa, variant, f)
         for i, e in enumerate(batch):
@@ -86,7 +86,7 @@ def test_recovery_from_kept_solvers_matches_recover(mixed2):
         fact = factorize_local(assemble_local_blocks(disc, case.material, e),
                                data.kappa, variant)
         m_local = uhat[mesh.element_faces[e]].ravel()
-        s, u = recover(fact, m_local, load_moments(disc, e, data.load()))
+        s, u = recover(fact, m_local, load_moments(disc, e, data.f))
         assert rel(sol.sigma[e], s) < TOL
         assert rel(sol.u[e], u) < TOL
 

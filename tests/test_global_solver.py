@@ -253,7 +253,7 @@ def test_dirichlet_trace_equals_projected_data(poly_setup):
     for fi, tag in enumerate(disc.mesh.face_tags):
         if tag != BoundaryTag.DIRICHLET:
             continue
-        ref = disc.project_face(fi, data.dirichlet())
+        ref = disc.project_face(fi, data.g_d)
         assert np.abs(sol.uhat[fi] - ref).max() < 1e-12 * max(np.abs(ref).max(), 1)
 
 
@@ -267,7 +267,7 @@ def test_boundary_data_matches_per_face_quadrature(bc):
     data = problem_data_from_case(case)
     g, imp = boundary_data(disc, data)
     g, imp = g.reshape(mesh.num_faces, 3, disc.nF), imp.reshape(mesh.num_faces, -1)
-    datum = data.neumann() if bc == "all-neumann" else data.impedance()
+    datum = data.g_n if bc == "all-neumann" else data.g_r
     for fi, (owner, neighbor) in enumerate(mesh.face_elements):
         if neighbor >= 0:
             assert not g[fi].any() and not imp[fi].any()

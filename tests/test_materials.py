@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from hdg_elastic import (FROBENIUS_WEIGHTS, SYM_MATS, apply_compliance,
                          apply_stiffness, isotropic, pack_sym, unpack_sym,
                          variable_preset)
+from hdg_elastic.materials import X1, X2, X3, lambdify_field
 
 
 RNG = np.random.default_rng(42)
@@ -152,16 +154,28 @@ def test_sym_packing_convention():
     assert np.allclose(recon, m[0])
 
 
+def test_lambdify_field_shapes_and_values():
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, (2, 5, 3))
+    fields = [X1 * X2 + sp.sin(X3),
+              [X1, X2 ** 2, sp.Integer(7)],
+              [[X1 + i * X2 * X3 ** j for j in range(3)] for i in range(3)],
+              sp.Float(2.5)]
+    for exprs, shape in zip(fields, [(), (3,), (3, 3), ()]):
+        values = lambdify_field(exprs)(pts)
+        assert values.shape == (2, 5) + shape and values.dtype == float
+        exprs = np.array(exprs, dtype=object)
+        for p in np.ndindex(2, 5):
+            at = dict(zip((X1, X2, X3), pts[p]))
+            ref = np.array([float(e.subs(at)) for e in exprs.ravel()]).reshape(shape)
+            assert np.allclose(values[p], ref, rtol=1e-14, atol=0)
+
+
 def test_invalid_material_field_fails_loudly():
     # mu = 1 - 2 x1 turns negative inside the cube, for x1 > 1/2
-    import sympy as sp
     from hdg_elastic import (VARIANTS, Discretization, Material, ProblemData,
                              SemidiscreteSystem, build_structured_cube,
                              solve_time_harmonic, tag_boundary)
-    from hdg_elastic.materials import X1
-    one = lambda x: np.ones(np.shape(x)[:-1])
-    mat = Material(one, one, lambda x: 1 - 2 * np.asarray(x)[..., 0],
-                   sp.Integer(1), sp.Integer(1), 1 - 2 * X1)
+    mat = Material(sp.Integer(1), sp.Integer(1), 1 - 2 * X1)
     disc = Discretization(tag_boundary(build_structured_cube(1), "all-dirichlet"), 1)
     with pytest.raises(ValueError, match="mu > 0"):
         solve_time_harmonic(disc, mat, ProblemData(kappa=1.0),

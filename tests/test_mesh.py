@@ -178,7 +178,13 @@ def test_mesh_io_roundtrip(tmp_path):
     ("2 1\n0 0 0\n1 0 0\n0 1 2 3\n", "out of range"),
     ("4 1\n0 0 0\n1 0 0\nnan 1 0\n0 0 1\n0 1 2 3\n", "non-finite"),
     ("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 1 3\n", "names a vertex twice"),
-], ids=["index-out-of-range", "non-finite", "repeated-vertex"])
+    ("4 x\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3\n", "non-numeric token"),
+    ("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 x\n", "non-numeric token"),
+    ("0 0\n", "no vertices or no elements"),
+    ("4 1\n0 0 0\n1 0 0\n2 0 0\n0 0 1\n0 1 2 3\n", "element 0 has zero volume"),
+    ("4 1\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n0 1 2 3\n", "element 0 has zero volume"),
+], ids=["index-out-of-range", "non-finite", "repeated-vertex", "non-numeric-header",
+        "non-numeric-body", "no-elements", "collinear", "coplanar"])
 def test_load_mesh_rejects_garbage(tmp_path, text, reason):
     path = tmp_path / "bad.txt"
     path.write_text(text)
