@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .local_ops import (VARIANTS, FluxVariant, block_bytes, condense_batch,
+from .local_ops import (VARIANTS, FluxVariant, _rmul, block_bytes, condense_batch,
                         element_batches, element_blocks, resolution_flags)
 # The per-element reference path; perfbench/tracing.py wraps these names
 # through this module's bindings.
@@ -179,7 +179,11 @@ def boundary_data(disc, data):
 @dataclass
 class HybridSystem:
     """Condensed skeleton system together with the local solvers that
-    recover the interior unknowns from its solution."""
+    recover the interior unknowns from its solution.
+
+    matrix and solvers are float64 when alpha is real (the conservative
+    variant) and no face is an impedance face, complex otherwise; rhs and
+    interior are complex."""
     matrix: sps.csr_matrix
     rhs: np.ndarray
     skeleton: SkeletonMap
@@ -202,8 +206,9 @@ def assemble_hybrid(disc, material, data, variant):
     with Im(alpha) < 0 on impedance faces makes it indefinite and draws a
     RuntimeWarning."""
     mesh = disc.mesh
-    if (np.imag(variant.alpha(data.kappa)) < 0
-            and np.any(mesh.face_tags == BoundaryTag.IMPEDANCE)):
+    alpha = variant.alpha(data.kappa)
+    impedance = np.any(mesh.face_tags == BoundaryTag.IMPEDANCE)
+    if np.imag(alpha) < 0 and impedance:
         warnings.warn(
             f"flux variant {variant.tag!r} has Im(alpha) < 0 on impedance "
             "faces: its stabilization and the impedance term enter the "
@@ -214,9 +219,10 @@ def assemble_hybrid(disc, material, data, variant):
     skel = SkeletonMap(mesh, nFd)
     dir_values = solve_dirichlet_trace(disc, data.g_d)
     g, imp = boundary_data(disc, data)
-    S = np.empty((ne, nM, nM), dtype=complex)
+    dtype = np.result_type(alpha, float)
+    S = np.empty((ne, nM, nM), dtype=dtype)
     loads = np.empty((ne, nM), dtype=complex)
-    X = np.empty((ne, n, nM), dtype=complex)
+    X = np.empty((ne, n, nM), dtype=dtype)
     z = np.empty((ne, n), dtype=complex)
     cond = np.empty(ne)
     flags = np.empty(ne, dtype=bool)
@@ -231,7 +237,9 @@ def assemble_hybrid(disc, material, data, variant):
         flags[batch] = resolution_flags(data.kappa, blocks.h, blocks.wave_bound)
 
     dofs = trace_dofs(mesh, nFd).reshape(ne, -1)
-    full = _scatter(dofs, dofs, S, (g.size, g.size)) + sps.diags(imp)
+    full = _scatter(dofs, dofs, S, (g.size, g.size))
+    if impedance:   # the only complex term of a real-alpha matrix
+        full = full + sps.diags(imp)
     rhs = g - full @ dir_values.ravel()
     np.add.at(rhs, dofs, loads)
     matrix = full[skel.dofs][:, skel.dofs]
@@ -249,7 +257,10 @@ def solve_skeleton(system):
 
     Factors in the face order of mesh.dissection_order and adds the relative
     residual, the LU fill (nonzeros of L and U) and the time of ordering and
-    factor (factor_s) to system.diagnostics."""
+    factor (factor_s) to system.diagnostics. A real matrix is factored in
+    float64, half the memory and about half the time of a complex factor,
+    and the complex right side is solved as its real and imaginary parts,
+    two columns of one solve."""
     t0 = time.perf_counter()
     skel, order = system.skeleton, dissection_order(system.disc.mesh)
     faces = np.searchsorted(skel.active, order[np.isin(order, skel.active)])
@@ -260,7 +271,11 @@ def solve_skeleton(system):
                        options=dict(SymmetricMode=True))
         system.diagnostics["factor_s"] = time.perf_counter() - t0
         x = np.empty_like(system.rhs)
-        x[perm] = lu.solve(system.rhs[perm])
+        if np.iscomplexobj(system.matrix):
+            x[perm] = lu.solve(system.rhs[perm])
+        else:
+            parts = lu.solve(system.rhs[perm].view(np.float64).reshape(-1, 2))
+            x[perm] = parts[:, 0] + 1j * parts[:, 1]
     except RuntimeError as exc:
         raise SingularSystemError(f"skeleton solve failed: {exc}") from exc
     scale = max(np.linalg.norm(system.rhs), np.linalg.norm(x), 1e-300)
@@ -296,12 +311,13 @@ class SolutionFields:
 
 def reconstruct(system, uhat):
     """Recovery of (stress, displacement) from the traces uhat through the
-    local solvers of the system: X m + z on every element."""
+    local solvers of the system: X m + z on every element, with a real X
+    applied to the real and imaginary parts of m without promotion."""
     disc = system.disc
     mesh = disc.mesh
     ne, nS = mesh.num_elements, 6 * disc.nV
     m = uhat.reshape(mesh.num_faces, -1)[mesh.element_faces].reshape(ne, -1)
-    x = (system.solvers @ m[:, :, None])[:, :, 0] + system.interior
+    x = _rmul(system.solvers, m[:, :, None])[:, :, 0] + system.interior
     return SolutionFields(system.kappa, system.variant.tag, disc.k,
                           x[:, :nS].reshape(ne, 6, disc.nV),
                           x[:, nS:].reshape(ne, 3, disc.nW), uhat)

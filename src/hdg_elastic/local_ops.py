@@ -16,7 +16,9 @@ and the condensed transmission row reads
   ( B_out C^-1 B_in + a tau I ) m = rhs - B_out C^-1 [0; f],
   B_out = [N, -a tau G],  B_in = [N^T; -a tau G^T].
 
-All blocks except those multiplied by alpha are real.
+All blocks except those multiplied by alpha are real, so for a real alpha
+(the conservative variant) every block of C and of the condensed system is
+real.
 
 element_blocks and condense_batch (block elimination, exact cond(C, 1)) do
 this work for batches of elements with stacked array operations; the hybrid
@@ -51,7 +53,7 @@ class FluxVariant:
         if self.tag == "kappa_scaled":
             return 1j * kappa ** 2
         if self.tag == "conservative":
-            return 1.0 + 0.0j
+            return 1.0
         raise ValueError(f"unknown flux variant {self.tag!r}")
 
 
@@ -76,9 +78,9 @@ def element_batches(ne, bytes_per_element):
 
 def block_bytes(disc):
     """Upper estimate of the working memory per element of the block
-    quadrature and condense_batch: the real blocks, A^-1, P_D and P_N, and the
-    complex Sigma, its inverse and the larger set of the norm (Y, Y^T, Q,
-    A^-1 + Q) or of the solvers (R and two temporaries, X, P_D X_u, S)."""
+    quadrature and condense_batch: the real blocks, A^-1, P_D and P_N, and,
+    counted complex, Sigma, its inverse and the larger set of the norm (Y, Y^T,
+    Q, A^-1 + Q) or of the solvers (R and two temporaries, X, P_D X_u, S)."""
     nS, nW3, nM = 6 * disc.nV, 3 * disc.nW, 12 * disc.nF
     real = 2 * nS * (nS + nW3 + nM) + 2 * nW3 * (nW3 + nM)
     cplx = 2 * nW3 * nW3 + max(2 * nS * (nS + nW3), (2 * nS + 4 * nW3 + nM) * nM)
@@ -236,7 +238,10 @@ def _coupling(fact):
 
 
 def _rmul(R, Z):
-    """R @ Z for real R and complex Z, in real arithmetic on Z's interleaved parts."""
+    """R @ Z without promoting a real R: a real R multiplies a complex Z in real
+    arithmetic on Z's interleaved parts."""
+    if np.iscomplexobj(R) or np.isrealobj(Z):
+        return R @ Z
     return (R @ Z.view(np.float64)).view(np.complex128)
 
 
@@ -256,8 +261,11 @@ def condense_batch(blocks, kappa, variant, f):
     blocks carry a leading element axis and f holds the load moments
     (nb, 3nW). A is real, SPD and independent of kappa, so it is eliminated
     first, in real arithmetic (P_D = A^-1 D^T, P_N = A^-1 N^T); only the
-    complex Schur complement Sigma = k^2 M - a T11 - D P_D (size 3nW) is
-    inverted, and no real block is promoted to complex. With
+    Schur complement Sigma = k^2 M - a T11 - D P_D (size 3nW) is inverted,
+    and no real block is promoted to complex. Sigma, R, X, S and cond take
+    the dtype of alpha: float64 for a real alpha (the conservative variant),
+    which halves the memory and flops of the inverse and the products; z and
+    the loads take the dtype of f and Sigma together. With
     R = -a tau G^T - D P_N, X_u = Sigma^-1 R and z_u = Sigma^-1 f:
 
       S     (nb, nM, nM)  B_out X + a tau I = N P_N + R^T X_u + a tau I
@@ -290,15 +298,15 @@ def condense_batch(blocks, kappa, variant, f):
             f"(kappa={kappa}, variant={variant.tag}, cond={cond[i]:.3e})")
     R = -(blocks.D @ P_N) - (alpha * blocks.tau[:, None, None]
                               * np.swapaxes(blocks.G.reshape(nb, nM, -1), 1, 2))
-    X = np.empty((nb, nS + blocks.nW3, nM), dtype=complex)
+    X = np.empty((nb, nS + blocks.nW3, nM), dtype=R.dtype)
     X_u = np.matmul(Sinv, R, out=X[:, nS:])
     X[:, :nS] = P_N - _rmul(P_D, X_u)
-    z_u = Sinv @ np.asarray(f, dtype=complex)[:, :, None]
+    z_u = _rmul(Sinv, np.asarray(f)[:, :, None])
     z = np.concatenate([-_rmul(P_D, z_u), z_u], axis=1)[:, :, 0]
     Rt = np.swapaxes(R, 1, 2)
     S = Rt @ X_u + N @ P_N
     S.reshape(nb, -1)[:, ::nM + 1] += alpha * blocks.tau[:, None]   # the diagonals
-    return S, -(Rt @ z_u)[:, :, 0], X, z, cond
+    return S, -_rmul(Rt, z_u)[:, :, 0], X, z, cond
 
 
 def resolution_flags(kappa, h, wave_bound):

@@ -52,9 +52,15 @@ def lambdify_field(exprs):
     """Vectorized callable of a sympy field in x1, x2, x3: a scalar expression,
     a list of 3 or a 3x3 nested list. It maps points (..., 3) to values of
     shape (...,) + the field's shape, every component (a constant too) broadcast
-    to the batch shape, and real values to floats."""
+    to the batch shape, and real values to floats.
+
+    lambdify prints a Float with its own precision, 15 digits for a double,
+    so every Float is raised to 17 digits first: the printed constants are
+    then the doubles exactly."""
     exprs = np.array(exprs, dtype=object)
-    fn = sp.lambdify((X1, X2, X3), exprs.ravel().tolist(), "numpy")
+    flat = [e.xreplace({c: sp.Float(c, 17) for c in e.atoms(sp.Float)})
+            for e in sp.sympify(exprs.ravel().tolist())]
+    fn = sp.lambdify((X1, X2, X3), flat, "numpy")
 
     def field(x):
         x = np.asarray(x)
@@ -137,7 +143,6 @@ def isotropic(lam, mu, rho):
         raise ValueError("require mu > 0 and 3*lam + 2*mu > 0")
     if rho <= 0:
         raise ValueError("density must be positive")
-    # 17 digits, so the lambdified constants are the given doubles exactly
     return Material(sp.Float(rho), sp.Float(lam), sp.Float(mu))
 
 

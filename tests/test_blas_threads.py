@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,7 +31,7 @@ def blas_threads():
 case = make_case("varcoeff", kappa=1.0)
 disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
 sol, _ = solve_time_harmonic(disc, case.material, problem_data_from_case(case),
-                             VARIANTS["first_order"])
+                             VARIANTS[sys.argv[2]])
 report = compute_errors(disc, case.material, case, sol)
 np.savez(sys.argv[1], sigma=sol.sigma, u=sol.u, uhat=sol.uhat)
 print(json.dumps({"threads": blas_threads(),
@@ -39,13 +40,13 @@ print(json.dumps({"threads": blas_threads(),
 """
 
 
-def _run(tmp_path, threads):
-    out = tmp_path / f"threads{threads}.npz"
+def _run(tmp_path, threads, variant):
+    out = tmp_path / f"{variant}-threads{threads}.npz"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env,
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(out), variant], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if result["threads"] is not None:
@@ -54,9 +55,11 @@ def _run(tmp_path, threads):
         return result["errors"], {k: arrays[k] for k in arrays.files}
 
 
-def test_first_order_solve_independent_of_blas_threads(tmp_path):
-    errors1, fields1 = _run(tmp_path, 1)
-    errors2, fields2 = _run(tmp_path, 2)
+# first_order factors a complex skeleton matrix, conservative a float64 one
+@pytest.mark.parametrize("variant", ["first_order", "conservative"])
+def test_solve_independent_of_blas_threads(tmp_path, variant):
+    errors1, fields1 = _run(tmp_path, 1, variant)
+    errors2, fields2 = _run(tmp_path, 2, variant)
     for a, b in zip(errors1, errors2):
         assert abs(a - b) <= 1e-12 * abs(a)
     for name, a in fields1.items():

@@ -65,6 +65,16 @@ def test_varcoeff_origin_value():
     assert np.abs(val - np.array([0.0, 17.0, 1.0])).max() < 1e-13
 
 
+def test_case_constants_are_exact_doubles():
+    # at the origin the phase is 1 and only the constants remain
+    x = np.zeros((1, 3))
+    d = np.ones(3) / np.sqrt(3.0)
+    assert np.array_equal(make_case("pwave").u(x)[0], 0.3 * d)
+    rng = np.random.default_rng(20240901)
+    constant_terms = [rng.uniform(-1.0, 1.0, size=10)[0] for _ in range(3)]  # 10 monomials
+    assert np.array_equal(make_case("polynomial", k=1).u(x)[0], constant_terms)
+
+
 def test_polynomial_case_degree_and_seed():
     a = make_case("polynomial", k=1, seed=7)
     b = make_case("polynomial", k=1, seed=7)

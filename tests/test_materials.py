@@ -170,6 +170,14 @@ def test_lambdify_field_shapes_and_values():
             assert np.allclose(values[p], ref, rtol=1e-14, atol=0)
 
 
+def test_lambdified_constants_are_exact_doubles():
+    # lambdify prints a double-precision Float with 15 digits unless raised
+    x = np.zeros((1, 3))
+    assert isotropic(1 / 3, 1, 1).lam(x)[0] == 1 / 3
+    v = 1 / 3 + 1 / np.sqrt(3)
+    assert lambdify_field(sp.Float(v))(x)[0] == v
+
+
 def test_invalid_material_field_fails_loudly():
     # mu = 1 - 2 x1 turns negative inside the cube, for x1 > 1/2
     from hdg_elastic import (VARIANTS, Discretization, Material, ProblemData,

@@ -1,0 +1,113 @@
+"""The conservative flux (alpha = 1) at real kappa without impedance faces
+runs in real arithmetic: float64 local solvers and skeleton matrix, complex
+data and solution. Checked against the monolithic solve and against the
+complex per-element LU reference (factorize_local, condense, recover)."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
+
+from hdg_elastic import (VARIANTS, Discretization, assemble_hybrid,
+                         assemble_local_blocks, build_structured_cube, condense,
+                         factorize_local, make_case, recover, solve_monolithic,
+                         solve_time_harmonic, tag_boundary)
+from hdg_elastic.errors import problem_data_from_case
+from hdg_elastic.global_system import (SkeletonMap, boundary_data, load_moments,
+                                       solve_dirichlet_trace, trace_dofs)
+
+CONSERVATIVE = VARIANTS["conservative"]
+
+
+def rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def mixed2(request):
+    mesh = tag_boundary(build_structured_cube(2), "mixed")
+    case = make_case("varcoeff", kappa=1.3)
+    return Discretization(mesh, request.param), case, problem_data_from_case(case)
+
+
+def per_element_solve(disc, material, data, variant):
+    """Hybrid solve through the complex LU factors of each local matrix C:
+    condense per element, a complex sparse skeleton solve, recover per element.
+    Returns (sigma, u, uhat) shaped as in SolutionFields."""
+    mesh = disc.mesh
+    ne, nFd = mesh.num_elements, 3 * disc.nF
+    facts = [factorize_local(assemble_local_blocks(disc, material, e), data.kappa, variant)
+             for e in range(ne)]
+    f = load_moments(disc, np.arange(ne), data.f)
+    condensed = [condense(fact) for fact in facts]
+    S = np.array([s for s, _ in condensed])
+    dofs = trace_dofs(mesh, nFd).reshape(ne, -1)
+    rows = np.broadcast_to(dofs[:, :, None], S.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], S.shape).ravel()
+    g, imp = boundary_data(disc, data)
+    full = sps.coo_matrix((S.ravel(), (rows, cols)), shape=(g.size, g.size)).tocsr()
+    full = full + sps.diags(imp)
+    fixed = solve_dirichlet_trace(disc, data.g_d).ravel()
+    rhs = g - full @ fixed
+    np.add.at(rhs, dofs, [load_map @ fe for (_, load_map), fe in zip(condensed, f)])
+    active = SkeletonMap(mesh, nFd).dofs
+    m = fixed.copy()
+    m[active] = spla.spsolve(full[active][:, active].tocsc(), rhs[active])
+    m = m.reshape(mesh.num_faces, -1)
+    parts = [recover(fact, m[mesh.element_faces[e]].ravel(), f[e])
+             for e, fact in enumerate(facts)]
+    return (np.array([s for s, _ in parts]), np.array([u for _, u in parts]),
+            m.reshape(mesh.num_faces, 3, disc.nF))
+
+
+def assert_matches_monolithic(disc, case, data, tol=1e-9):
+    sol, _ = solve_time_harmonic(disc, case.material, data, CONSERVATIVE)
+    ref = solve_monolithic(disc, case.material, data, CONSERVATIVE, form="second")
+    for name in ("sigma", "u", "uhat"):
+        assert rel(getattr(sol, name), getattr(ref, name)) < tol, name
+
+
+def test_conservative_system_is_real(mixed2):
+    disc, case, data = mixed2
+    system = assemble_hybrid(disc, case.material, data, CONSERVATIVE)
+    assert system.matrix.dtype == np.float64
+    assert system.solvers.dtype == np.float64
+    assert np.iscomplexobj(system.rhs) and np.iscomplexobj(system.interior)
+    first = assemble_hybrid(disc, case.material, data, VARIANTS["first_order"])
+    assert first.matrix.dtype == first.solvers.dtype == np.complex128
+
+
+def test_real_path_matches_monolithic(mixed2):
+    assert_matches_monolithic(*mixed2)
+
+
+def test_real_path_matches_complex_per_element_reference(mixed2):
+    disc, case, data = mixed2
+    sol, _ = solve_time_harmonic(disc, case.material, data, CONSERVATIVE)
+    assert sol.sigma.dtype == sol.u.dtype == sol.uhat.dtype == np.complex128
+    sigma, u, uhat = per_element_solve(disc, case.material, data, CONSERVATIVE)
+    assert rel(sol.sigma, sigma) < 1e-12
+    assert rel(sol.u, u) < 1e-12
+    assert rel(sol.uhat, uhat) < 1e-12
+
+
+def test_plane_wave_real_matrix_complex_data():
+    # a real skeleton matrix with a genuinely complex right side: the factor
+    # solves its real and imaginary parts as two columns
+    case = make_case("pwave", kappa=1.0)
+    disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
+    data = problem_data_from_case(case)
+    system = assemble_hybrid(disc, case.material, data, CONSERVATIVE)
+    assert system.matrix.dtype == np.float64
+    assert np.abs(system.rhs.imag).max() > 0.1 * np.abs(system.rhs.real).max()
+    assert_matches_monolithic(disc, case, data)
+
+
+def test_impedance_faces_make_the_matrix_complex():
+    case = make_case("pwave", kappa=1.0)
+    disc = Discretization(tag_boundary(build_structured_cube(2), "impedance"), 1)
+    data = problem_data_from_case(case)
+    system = assemble_hybrid(disc, case.material, data, CONSERVATIVE)
+    assert system.matrix.dtype == np.complex128
+    assert system.solvers.dtype == np.float64
+    assert_matches_monolithic(disc, case, data)
