@@ -1,8 +1,7 @@
 """L2 error norms, convergence orders and the error energy identity.
 
-Error integration uses a quadrature rule of exactness at least 2(k+2),
-one degree family above the assembly default, so measured orders are not
-polluted by the error quadrature itself.
+Errors are integrated with the quadrature of the solve's own
+Discretization, whose default exactness is 2(k+1)+2 = 2(k+2).
 """
 
 import math
@@ -31,26 +30,18 @@ class ErrorReport:
     err_trace: float   # tau-weighted skeleton error ||P_M u - u_hat||_tau
 
 
-def _error_disc(disc):
-    exact = max(2 * (disc.k + 2), disc.exactness)
-    if exact == disc.exactness:
-        return disc
-    return Discretization(disc.mesh, disc.k, exactness=exact)
-
-
 def compute_errors(disc, material, case, solution):
     """L2 errors of displacement and stress plus the skeleton trace error."""
-    edisc = _error_disc(disc)
     mesh = disc.mesh
     # about 80 doubles per quadrature point: exact and discrete fields, their
     # differences and the basis values
-    point_bytes = 8 * (80 + edisc.nV + edisc.nW)
+    point_bytes = 8 * (80 + disc.nV + disc.nW)
     sums = np.zeros(4)   # squared err_u, norm_u, err_sigma, norm_sigma
     for batch in element_batches(mesh.num_elements,
-                                 point_bytes * len(edisc.vol_rule.weights)):
-        pts, wts = edisc.element_points(batch), edisc.element_weights(batch)
-        phi, _ = edisc.scalar_basis(batch, "V")
-        psi, _ = edisc.scalar_basis(batch, "W")
+                                 point_bytes * len(disc.vol_rule.weights)):
+        pts, wts = disc.element_points(batch), disc.element_weights(batch)
+        phi, _ = disc.scalar_basis(batch, "V")
+        psi, _ = disc.scalar_basis(batch, "W")
         u_ex = case.u(pts)
         u_h = np.einsum("bdj,bqj->bqd", solution.u[batch], psi)
         s_ex = pack_sym(case.sigma(pts))
@@ -60,9 +51,9 @@ def compute_errors(disc, material, case, solution):
                  np.sum(wts * (np.abs(s_ex - s_h) ** 2 @ FROBENIUS_WEIGHTS)),
                  np.sum(wts * (np.abs(s_ex) ** 2 @ FROBENIUS_WEIGHTS))]
     # every face is projected once; each element weights its four faces by tau_K
-    pm = edisc.project_face(np.arange(mesh.num_faces), case.u)
+    pm = disc.project_face(np.arange(mesh.num_faces), case.u)
     face_err = np.sum(np.abs(pm - solution.uhat) ** 2, axis=(1, 2))
-    tau = edisc.tau(np.arange(mesh.num_elements))
+    tau = disc.tau(np.arange(mesh.num_elements))
     err_tr = np.sum(tau * face_err[mesh.element_faces].sum(axis=1))
     err_u, norm_u, err_s, norm_s = np.sqrt(sums)
     return ErrorReport(disc.k, float(disc.h.max()), case.kappa, float(err_u),

@@ -9,8 +9,9 @@ Every global path shares one numbering and one set of operators:
   (as T12 = sum tau_K G_K^T and t22 = sum tau_K) over stress, displacement
   and trace dofs; `boundary_data` reads the Neumann and impedance data.
 - The skeleton unknowns of the hybridized (condensed) system are the trace
-  dofs of the non-Dirichlet faces (`SkeletonMap`). Dirichlet faces carry
-  known coefficients, the face-wise L2 projection of the boundary datum.
+  dofs of the non-Dirichlet faces, in the one nested-dissection face order
+  of `SkeletonMap`. Dirichlet faces carry known coefficients, the face-wise
+  L2 projection of the boundary datum.
 
 The uncondensed systems - the second-order form in (stress, displacement,
 traces) and the first-order form in the unscaled stress - are block matrices
@@ -76,25 +77,26 @@ def trace_dofs(mesh, nFd):
     return mesh.element_faces[:, :, None] * nFd + np.arange(nFd)
 
 
-def _scatter(row_dofs, col_dofs, blocks, shape):
-    """Sum element blocks (ne, r, c) into CSR at rows row_dofs (ne, r) and
-    columns col_dofs (ne, c). Exact zeros are not stored: they would cost
-    memory and sparse LU fill in every product and factor downstream."""
+def _scatter(row_dofs, col_dofs, blocks, shape, kind=sps.csr_matrix):
+    """Sum element blocks (ne, r, c) into CSR (or kind) at rows row_dofs (ne, r)
+    and columns col_dofs (ne, c). Exact zeros are not stored: they would cost
+    memory and sparse LU fill in every product and factor downstream. The
+    copy drops the slack that summing and zero removal leave in the arrays."""
     rows = np.broadcast_to(row_dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(col_dofs[:, None, :], blocks.shape)
-    mat = sps.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+    mat = kind((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
     mat.eliminate_zeros()
-    return mat
+    return mat.copy()
 
 
 class SkeletonMap:
-    """Numbering of active (non-Dirichlet) face trace unknowns.
-
-    Skeleton dof i is the trace dof dofs[i] of the global trace numbering."""
+    """The one numbering of the skeleton unknowns, assembled and factored in
+    it: the trace dofs of the non-Dirichlet faces (active) in the face order
+    of mesh.dissection_order; skeleton dof i is the trace dof dofs[i]."""
 
     def __init__(self, mesh, nFd):
-        self.nFd = nFd
-        self.active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
+        order = dissection_order(mesh)
+        self.active = order[mesh.face_tags[order] != BoundaryTag.DIRICHLET]
         self.ndof = len(self.active) * nFd
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
 
@@ -181,10 +183,10 @@ class HybridSystem:
     """Condensed skeleton system together with the local solvers that
     recover the interior unknowns from its solution.
 
-    matrix and solvers are float64 when alpha is real (the conservative
-    variant) and no face is an impedance face, complex otherwise; rhs and
-    interior are complex."""
-    matrix: sps.csr_matrix
+    matrix (CSC, numbered by skeleton) and solvers are float64 when alpha is
+    real (the conservative variant) and no face is an impedance face, complex
+    otherwise; rhs and interior are complex."""
+    matrix: sps.csc_matrix
     rhs: np.ndarray
     skeleton: SkeletonMap
     dirichlet_values: np.ndarray  # (nfaces, 3, nF), zero off Dirichlet faces
@@ -197,7 +199,9 @@ class HybridSystem:
 
 
 def assemble_hybrid(disc, material, data, variant):
-    """Condensed skeleton system for the trace unknowns.
+    """Condensed skeleton system for the trace unknowns, scattered once into
+    the skeleton numbering: the known Dirichlet traces are lifted into the
+    loads (loads -= S_K m_D,K), and their rows and columns of S_K are zeroed.
 
     Impedance faces impose sigma_hat n + i kappa u_hat = g_r. Tested with the
     discrete solution, the imaginary part of the energy identity is then
@@ -220,7 +224,7 @@ def assemble_hybrid(disc, material, data, variant):
     dir_values = solve_dirichlet_trace(disc, data.g_d)
     g, imp = boundary_data(disc, data)
     dtype = np.result_type(alpha, float)
-    S = np.empty((ne, nM, nM), dtype=dtype)
+    S = np.empty((ne, nM, nM), dtype=complex if impedance else dtype)
     loads = np.empty((ne, nM), dtype=complex)
     X = np.empty((ne, n, nM), dtype=dtype)
     z = np.empty((ne, n), dtype=complex)
@@ -236,46 +240,47 @@ def assemble_hybrid(disc, material, data, variant):
         condense_s += time.perf_counter() - t0
         flags[batch] = resolution_flags(data.kappa, blocks.h, blocks.wave_bound)
 
-    dofs = trace_dofs(mesh, nFd).reshape(ne, -1)
-    full = _scatter(dofs, dofs, S, (g.size, g.size))
-    if impedance:   # the only complex term of a real-alpha matrix
-        full = full + sps.diags(imp)
-    rhs = g - full @ dir_values.ravel()
+    traces = trace_dofs(mesh, nFd).reshape(ne, -1)
+    free = (mesh.face_tags != BoundaryTag.DIRICHLET)[traces // nFd]
+    loads = (loads - _rmul(S, dir_values.ravel()[traces][:, :, None])[:, :, 0]) * free
+    S *= free[:, :, None] & free[:, None, :]
+    if impedance:   # the only complex term of a real-alpha matrix; one element per face
+        S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]
+    dofs = np.zeros(g.size, dtype=int)   # skeleton dofs; Dirichlet dofs map to 0
+    dofs[skel.dofs] = np.arange(skel.ndof)
+    dofs = dofs[traces]
+    matrix = _scatter(dofs, dofs, S, (skel.ndof, skel.ndof), sps.csc_matrix)
+    rhs = g[skel.dofs]
     np.add.at(rhs, dofs, loads)
-    matrix = full[skel.dofs][:, skel.dofs]
     diagnostics = {"condense_s": condense_s, "skeleton_nnz": int(matrix.nnz),
                    "local_cond_min": float(cond.min()),
                    "local_cond_median": float(np.median(cond)),
                    "local_cond_max": float(cond.max()),
                    "flagged_elements": int(flags.sum())}
-    return HybridSystem(matrix, rhs[skel.dofs], skel, dir_values, data.kappa, variant,
+    return HybridSystem(matrix, rhs, skel, dir_values, data.kappa, variant,
                         disc, X, z, diagnostics)
 
 
 def solve_skeleton(system):
     """Sparse direct solve of the condensed system; returns (nfaces, 3, nF).
 
-    Factors in the face order of mesh.dissection_order and adds the relative
-    residual, the LU fill (nonzeros of L and U) and the time of ordering and
-    factor (factor_s) to system.diagnostics. A real matrix is factored in
-    float64, half the memory and about half the time of a complex factor,
-    and the complex right side is solved as its real and imaginary parts,
-    two columns of one solve."""
+    Factors the matrix as it is numbered, in the nested-dissection face order
+    of its SkeletonMap, and adds the relative residual, the LU fill (nonzeros
+    of L and U) and the factor time (factor_s) to system.diagnostics. A real
+    matrix is factored in float64, half the memory and about half the time of
+    a complex factor, and the complex right side is solved as its real and
+    imaginary parts, two columns of one solve."""
     t0 = time.perf_counter()
-    skel, order = system.skeleton, dissection_order(system.disc.mesh)
-    faces = np.searchsorted(skel.active, order[np.isin(order, skel.active)])
-    perm = (faces[:, None] * skel.nFd + np.arange(skel.nFd)).ravel()
     # symmetric pattern: SymmetricMode prefers diagonal pivots, keeping the order
     try:
-        lu = spla.splu(system.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL",
+        lu = spla.splu(system.matrix, permc_spec="NATURAL",
                        options=dict(SymmetricMode=True))
         system.diagnostics["factor_s"] = time.perf_counter() - t0
-        x = np.empty_like(system.rhs)
         if np.iscomplexobj(system.matrix):
-            x[perm] = lu.solve(system.rhs[perm])
+            x = lu.solve(system.rhs)
         else:
-            parts = lu.solve(system.rhs[perm].view(np.float64).reshape(-1, 2))
-            x[perm] = parts[:, 0] + 1j * parts[:, 1]
+            parts = lu.solve(system.rhs.view(np.float64).reshape(-1, 2))
+            x = parts[:, 0] + 1j * parts[:, 1]
     except RuntimeError as exc:
         raise SingularSystemError(f"skeleton solve failed: {exc}") from exc
     scale = max(np.linalg.norm(system.rhs), np.linalg.norm(x), 1e-300)
@@ -335,9 +340,9 @@ def _check_solvable(mesh, kappa):
 def solve_time_harmonic(disc, material, data, variant):
     """Assemble, solve and reconstruct. Returns (solution, info dict).
 
-    info holds the sizes, phase times (condense_s; factor_s: skeleton ordering
-    and factor), skeleton nonzeros, the skeleton solve's relative residual and
-    LU fill, the range of cond(C, 1) and the number of flagged elements.
+    info holds the sizes, phase times (condense_s; factor_s: skeleton factor),
+    skeleton nonzeros, the skeleton solve's relative residual and LU fill,
+    the range of cond(C, 1) and the number of flagged elements.
     Raises ValueError for a static pure-traction problem."""
     _check_solvable(disc.mesh, data.kappa)
     t0 = time.perf_counter()

@@ -60,7 +60,8 @@ def lambdify_field(exprs):
     exprs = np.array(exprs, dtype=object)
     flat = [e.xreplace({c: sp.Float(c, 17) for c in e.atoms(sp.Float)})
             for e in sp.sympify(exprs.ravel().tolist())]
-    fn = sp.lambdify((X1, X2, X3), flat, "numpy")
+    # docstring_limit=0: printing a docstring took a third of make_case
+    fn = sp.lambdify((X1, X2, X3), flat, "numpy", docstring_limit=0)
 
     def field(x):
         x = np.asarray(x)

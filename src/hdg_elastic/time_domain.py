@@ -21,10 +21,10 @@ violently, faster on finer meshes (energy x1e55 at n = 1 and x1e98 at n = 2
 over 20 steps of dt = 0.02 from a random state).
 
 Each step solves a real sparse block system, factored once per step size.
-Newmark (conservative, c = beta dt^2) solves (M + c K) a = r in (a, s, m):
-  [[M + c T11, -c D, -c T12], [D^T, A, -N^T], [T12^T, -N, -T22]] (a, s, m)
-    = (r, 0, 0),
-with every product K w taken as T11 w - D s - T12 m for (s, m) slaved to w.
+Newmark (conservative, c = BETA dt^2) solves (M + c K) u1 = M u_pred in (u1, s, m):
+  [[M + c T11, -c D, -c T12], [D^T, A, -N^T], [T12^T, -N, -T22]] (u1, s, m)
+    = (M u_pred, 0, 0),
+with (s, m) slaved to u1, and takes a1 = (u1 - u_pred) / c: (M + c K) a1 = -K u_pred.
 The trapezoidal rule (rate fluxes, h = dt/2) solves for the step midpoint
 w = (z0 + z1)/2 of z = (u, v, m):
   [[M - h sign T11, -h D, sign T12], [h D^T, A, -N^T],
@@ -50,6 +50,7 @@ from .global_system import SkeletonMap, global_operators
 from .local_ops import assemble_local_blocks  # noqa: F401
 
 FLUXES = ("conservative", "accumulating", "dissipative")
+BETA = 1.0 / 3.0   # Newmark beta (gamma = 1/2); beta >= 1/4 is unconditionally stable
 
 
 @dataclass
@@ -187,36 +188,35 @@ class SemidiscreteSystem:
 
     # ---- time stepping ----
 
-    def step(self, state, dt, beta=1.0 / 3.0):
+    def step(self, state, dt):
         """Advance one step of size dt.
 
-        Conservative flux: implicit Newmark (gamma = 1/2) on the condensed
-        second-order ODE; beta >= 1/4 keeps it unconditionally stable. States
-        carry the acceleration a = M^-1 (-K u) on to the next step.
+        Conservative flux: implicit Newmark (gamma = 1/2, beta = BETA) on the
+        condensed second-order ODE, one solve per step. States carry the
+        acceleration a = M^-1 (-K u) on to the next step.
         Rate fluxes: trapezoidal rule on the first-order system in (u, v, m).
-        Each step matrix is factored once per (dt, beta) or dt.
+        Each step matrix is factored once per dt.
         """
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError("time step must be positive")
         if self.flux == "conservative":
-            return self._newmark_step(state, dt, beta)
+            return self._newmark_step(state, dt)
         return self._trapezoidal_step(state, dt)
 
-    def _newmark_step(self, state, dt, beta):
-        c = beta * dt * dt
-        if (dt, beta) not in self._step_lu:
-            self._step_lu[dt, beta] = spla.splu(sps.bmat(
+    def _newmark_step(self, state, dt):
+        c = BETA * dt * dt
+        if dt not in self._step_lu:
+            self._step_lu[dt] = spla.splu(sps.bmat(
                 [[self.M + c * self.T11, -c * self.D, -c * self.T12],
                  [self.D.T, self.A, -self.N.T],
                  [self.T12.T, -self.N, -sps.diags(self.t22)]], format="csc"))
         a0 = (state.a if state.a is not None
               else self._M_lu.solve(-self._stiffness(state.u)[0]))
-        u_pred = state.u + dt * state.v + dt * dt * (0.5 - beta) * a0
-        rhs = np.concatenate([-self._stiffness(u_pred)[0],
-                              np.zeros(self.ns + self.nm)])
-        a1 = self._step_lu[dt, beta].solve(rhs)[:self.nu].copy()
-        return TimeState(state.t + dt, u_pred + c * a1,
-                         state.v + 0.5 * dt * (a0 + a1), a=a1)
+        u_pred = state.u + dt * state.v + dt * dt * (0.5 - BETA) * a0
+        rhs = np.concatenate([self.M @ u_pred, np.zeros(self.ns + self.nm)])
+        u1 = self._step_lu[dt].solve(rhs)[:self.nu].copy()
+        a1 = (u1 - u_pred) / c
+        return TimeState(state.t + dt, u1, state.v + 0.5 * dt * (a0 + a1), a=a1)
 
     def _trapezoidal_step(self, state, dt):
         if dt not in self._step_lu:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from scipy.linalg import block_diag
 
 from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
@@ -12,9 +13,11 @@ from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
                          solve_monolithic, solve_skeleton, solve_time_harmonic,
                          tag_boundary)
 from hdg_elastic.errors import problem_data_from_case
-from hdg_elastic.global_system import (boundary_data, global_operators,
-                                       solve_dirichlet_trace)
-from hdg_elastic.local_ops import assemble_local_blocks
+from hdg_elastic.global_system import (SkeletonMap, boundary_data, global_operators,
+                                       load_moments, solve_dirichlet_trace, trace_dofs)
+from hdg_elastic.local_ops import (assemble_local_blocks, block_bytes, condense_batch,
+                                   element_batches, element_blocks)
+from hdg_elastic.mesh import dissection_order
 
 
 @pytest.fixture(scope="module")
@@ -297,3 +300,64 @@ def test_static_pure_traction_is_rejected(bc):
         solve_time_harmonic(disc, case.material, data, VARIANTS["conservative"])
     with pytest.raises(ValueError, match="pure-traction"):
         solve_monolithic(disc, case.material, data, VARIANTS["conservative"])
+
+
+def test_skeleton_map_follows_dissection_order():
+    mesh = tag_boundary(build_structured_cube(2), "mixed")
+    skel = SkeletonMap(mesh, 9)
+    rank = np.argsort(dissection_order(mesh))
+    assert np.all(np.diff(rank[skel.active]) > 0)
+    free = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
+    np.testing.assert_array_equal(np.sort(skel.active), free)
+    np.testing.assert_array_equal(skel.dofs.reshape(-1, 9) // 9,
+                                  np.repeat(skel.active[:, None], 9, axis=1))
+
+
+def _all_faces_skeleton_system(disc, material, data, variant):
+    """The skeleton system built over all trace dofs: scatter every element's
+    condensed block, lift the Dirichlet traces through the global matrix,
+    restrict to the non-Dirichlet faces in ascending order, then permute
+    those faces into the dissection order."""
+    mesh = disc.mesh
+    ne, nFd = mesh.num_elements, 3 * disc.nF
+    S, loads = [], []
+    for batch in element_batches(ne, block_bytes(disc)):
+        f = load_moments(disc, batch, data.f)
+        Sb, lb = condense_batch(element_blocks(disc, material, batch), data.kappa,
+                                variant, f)[:2]
+        S.append(Sb)
+        loads.append(lb)
+    S, loads = np.concatenate(S), np.concatenate(loads)
+    g, imp = boundary_data(disc, data)
+    dofs = trace_dofs(mesh, nFd).reshape(ne, -1)
+    rows = np.broadcast_to(dofs[:, :, None], S.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], S.shape).ravel()
+    full = sps.csr_matrix((S.ravel(), (rows, cols)), shape=(g.size, g.size))
+    if np.any(mesh.face_tags == BoundaryTag.IMPEDANCE):
+        full = full + sps.diags(imp)
+    rhs = g - full @ solve_dirichlet_trace(disc, data.g_d).ravel()
+    np.add.at(rhs, dofs, loads)
+    active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
+    kept = (active[:, None] * nFd + np.arange(nFd)).ravel()
+    order = dissection_order(mesh)
+    faces = np.searchsorted(active, order[np.isin(order, active)])
+    perm = (faces[:, None] * nFd + np.arange(nFd)).ravel()
+    return full[kept][:, kept][perm][:, perm], rhs[kept][perm]
+
+
+@pytest.mark.parametrize("name,bc,variant", [
+    ("varcoeff", "mixed", "conservative"),
+    ("varcoeff", "mixed", "first_order"),
+    ("pwave", "impedance", "conservative"),
+])
+def test_skeleton_system_matches_all_faces_construction(name, bc, variant):
+    case = make_case(name, kappa=1.3)
+    disc = Discretization(tag_boundary(build_structured_cube(2), bc), 1)
+    data = problem_data_from_case(case)
+    system = assemble_hybrid(disc, case.material, data, VARIANTS[variant])
+    matrix, rhs = _all_faces_skeleton_system(disc, case.material, data, VARIANTS[variant])
+    assert system.matrix.format == "csc"
+    assert system.matrix.dtype == matrix.dtype
+    assert system.matrix.nnz == matrix.nnz
+    assert (system.matrix != matrix).nnz == 0
+    assert np.abs(system.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
