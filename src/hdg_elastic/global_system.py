@@ -30,7 +30,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .local_ops import (VARIANTS, FluxVariant, _rmul, block_bytes, condense_batch,
-                        element_batches, element_blocks, resolution_flags)
+                        element_batches, element_block_batches, element_blocks,
+                        resolution_flags)
 # The per-element reference path; perfbench/tracing.py wraps these names
 # through this module's bindings.
 from .local_ops import assemble_local_blocks, condense, factorize_local, recover  # noqa: F401
@@ -92,13 +93,44 @@ def _scatter(row_dofs, col_dofs, blocks, shape, kind=sps.csr_matrix):
 class SkeletonMap:
     """The one numbering of the skeleton unknowns, assembled and factored in
     it: the trace dofs of the non-Dirichlet faces (active) in the face order
-    of mesh.dissection_order; skeleton dof i is the trace dof dofs[i]."""
+    of mesh.dissection_order; skeleton dof i is the trace dof dofs[i].
+
+    element_dofs (ne, 4 nFd) gives the skeleton dof of each element-local
+    trace dof where free (a non-Dirichlet face) is True, and 0 elsewhere."""
 
     def __init__(self, mesh, nFd):
         order = dissection_order(mesh)
         self.active = order[mesh.face_tags[order] != BoundaryTag.DIRICHLET]
         self.ndof = len(self.active) * nFd
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
+        traces = trace_dofs(mesh, nFd).reshape(mesh.num_elements, -1)
+        self.free = (mesh.face_tags != BoundaryTag.DIRICHLET)[traces // nFd]
+        skeleton_dof = np.zeros(mesh.num_faces * nFd, dtype=int)
+        skeleton_dof[self.dofs] = np.arange(self.ndof)
+        self.element_dofs = skeleton_dof[traces]
+
+    def matrix(self, S):
+        """CSC skeleton matrix of the element blocks S (ne, 4 nFd, 4 nFd),
+        whose Dirichlet rows and columns it zeroes in place."""
+        S *= self.free[:, :, None] & self.free[:, None, :]
+        return _scatter(self.element_dofs, self.element_dofs, S,
+                        (self.ndof, self.ndof), sps.csc_matrix)
+
+
+def factor_skeleton(matrix):
+    """Sparse LU of a skeleton matrix as it is numbered, in the nested-dissection
+    face order of its SkeletonMap. The pattern is symmetric: SymmetricMode
+    prefers diagonal pivots, keeping the order."""
+    return spla.splu(matrix, permc_spec="NATURAL", options=dict(SymmetricMode=True))
+
+
+def _solve_lu(lu, matrix, rhs):
+    """lu.solve of a complex right side; on the float64 factor of a real matrix
+    (half the memory and time of complex) as two real columns of one solve."""
+    if np.iscomplexobj(matrix):
+        return lu.solve(rhs)
+    parts = lu.solve(rhs.view(np.float64).reshape(-1, 2))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 @dataclass(frozen=True)
@@ -117,12 +149,11 @@ class GlobalOperators:
     t22: np.ndarray       # (nm,) sum tau_K
 
 
-def global_operators(disc, material):
-    """Scatter the real blocks of all elements into GlobalOperators."""
+def global_operators(disc, blocks):
+    """Scatter the real blocks of all elements, the batches of
+    element_block_batches, into GlobalOperators."""
     mesh = disc.mesh
     ne, nm = mesh.num_elements, mesh.num_faces * 3 * disc.nF
-    blocks = [element_blocks(disc, material, batch)
-              for batch in element_batches(ne, block_bytes(disc))]
     stack = lambda name: np.concatenate([getattr(b, name) for b in blocks])
     tau = stack("tau")
     s = np.arange(ne * 6 * disc.nV).reshape(ne, -1)
@@ -236,22 +267,17 @@ def assemble_hybrid(disc, material, data, variant):
         f = load_moments(disc, batch, data.f)
         t0 = time.perf_counter()
         S[batch], loads[batch], X[batch], z[batch], cond[batch] = \
-            condense_batch(blocks, data.kappa, variant, f)
+            condense_batch(blocks, data.kappa ** 2, alpha, f)
         condense_s += time.perf_counter() - t0
         flags[batch] = resolution_flags(data.kappa, blocks.h, blocks.wave_bound)
 
     traces = trace_dofs(mesh, nFd).reshape(ne, -1)
-    free = (mesh.face_tags != BoundaryTag.DIRICHLET)[traces // nFd]
-    loads = (loads - _rmul(S, dir_values.ravel()[traces][:, :, None])[:, :, 0]) * free
-    S *= free[:, :, None] & free[:, None, :]
+    loads = (loads - _rmul(S, dir_values.ravel()[traces][:, :, None])[:, :, 0]) * skel.free
     if impedance:   # the only complex term of a real-alpha matrix; one element per face
         S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]
-    dofs = np.zeros(g.size, dtype=int)   # skeleton dofs; Dirichlet dofs map to 0
-    dofs[skel.dofs] = np.arange(skel.ndof)
-    dofs = dofs[traces]
-    matrix = _scatter(dofs, dofs, S, (skel.ndof, skel.ndof), sps.csc_matrix)
+    matrix = skel.matrix(S)
     rhs = g[skel.dofs]
-    np.add.at(rhs, dofs, loads)
+    np.add.at(rhs, skel.element_dofs, loads)
     diagnostics = {"condense_s": condense_s, "skeleton_nnz": int(matrix.nnz),
                    "local_cond_min": float(cond.min()),
                    "local_cond_median": float(np.median(cond)),
@@ -264,23 +290,14 @@ def assemble_hybrid(disc, material, data, variant):
 def solve_skeleton(system):
     """Sparse direct solve of the condensed system; returns (nfaces, 3, nF).
 
-    Factors the matrix as it is numbered, in the nested-dissection face order
-    of its SkeletonMap, and adds the relative residual, the LU fill (nonzeros
-    of L and U) and the factor time (factor_s) to system.diagnostics. A real
-    matrix is factored in float64, half the memory and about half the time of
-    a complex factor, and the complex right side is solved as its real and
-    imaginary parts, two columns of one solve."""
+    Factors the matrix with factor_skeleton, in float64 when it is real, and
+    adds the relative residual, the LU fill (nonzeros of L and U) and the
+    factor time (factor_s) to system.diagnostics."""
     t0 = time.perf_counter()
-    # symmetric pattern: SymmetricMode prefers diagonal pivots, keeping the order
     try:
-        lu = spla.splu(system.matrix, permc_spec="NATURAL",
-                       options=dict(SymmetricMode=True))
+        lu = factor_skeleton(system.matrix)
         system.diagnostics["factor_s"] = time.perf_counter() - t0
-        if np.iscomplexobj(system.matrix):
-            x = lu.solve(system.rhs)
-        else:
-            parts = lu.solve(system.rhs.view(np.float64).reshape(-1, 2))
-            x = parts[:, 0] + 1j * parts[:, 1]
+        x = _solve_lu(lu, system.matrix, system.rhs)
     except RuntimeError as exc:
         raise SingularSystemError(f"skeleton solve failed: {exc}") from exc
     scale = max(np.linalg.norm(system.rhs), np.linalg.norm(x), 1e-300)
@@ -373,7 +390,8 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
     form='second': the alpha-family system in the second-order stress.
     form='first':  the first-order system in the unscaled stress (load and
     traction data divided by -i*kappa accordingly).
-    Trace rows of Dirichlet faces fix the projected Dirichlet datum.
+    Trace rows of Dirichlet faces fix the projected Dirichlet datum. The
+    matrix is float64 for a real alpha with no impedance face, complex otherwise.
     Returns (matrix, rhs, layout) with layout = (nS, nW3, nFd, offsets...)."""
     mesh = disc.mesh
     kappa = data.kappa
@@ -385,7 +403,7 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
     else:
         variant = variant if variant is not None else VARIANTS["first_order"]
         alpha = variant.alpha(kappa)
-    ops = global_operators(disc, material)
+    ops = global_operators(disc, element_block_batches(disc, material))
     g, imp = boundary_data(disc, data)
     fixed = solve_dirichlet_trace(disc, data.g_d)
     nS, nW3, nFd = 6 * disc.nV, 3 * disc.nW, 3 * disc.nF
@@ -397,8 +415,9 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
         data_scale, g_scale = 1.0, 1.0
         blocks = [[ops.A, ops.D.T, -ops.N.T],
                   [ops.D, kappa ** 2 * ops.M - alpha * ops.T11, alpha * ops.T12],
-                  [keep @ ops.N, keep @ (-alpha * ops.T12.T),
-                   keep @ (alpha * T22) + sps.diags(imp) + fix]]
+                  [keep @ ops.N, keep @ (-alpha * ops.T12.T), keep @ (alpha * T22) + fix]]
+        if np.any(mesh.face_tags == BoundaryTag.IMPEDANCE):   # else real for a real alpha
+            blocks[2][2] = blocks[2][2] + sps.diags(imp)
     else:
         data_scale = 1j / kappa
         g_scale = -data_scale
@@ -416,11 +435,12 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
 def solve_monolithic(disc, material, data, variant=None, form="second"):
     """Direct solve of the uncondensed system; returns SolutionFields.
 
+    A real matrix is factored once in float64, as the skeleton is.
     Raises ValueError for a static pure-traction problem."""
     _check_solvable(disc.mesh, data.kappa)
     mat, rhs, layout = assemble_monolithic(disc, material, data, variant, form)
     nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
-    x = spla.spsolve(mat.tocsc(), rhs)
+    x = _solve_lu(spla.splu(mat.tocsc()), mat, rhs)
     residual = np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(
@@ -441,13 +461,13 @@ def flux_residual(disc, material, data, variant, solution):
 
     Interior faces: single-valuedness of the numerical flux moments.
     Neumann/impedance faces: the corresponding boundary condition."""
-    ops = global_operators(disc, material)
+    ops = global_operators(disc, element_block_batches(disc, material))
     g, imp = boundary_data(disc, data)
     alpha = variant.alpha(data.kappa)
     s, u, m = solution.sigma.ravel(), solution.u.ravel(), solution.uhat.ravel()
     residual = ops.N @ s - alpha * (ops.T12.T @ u - ops.t22 * m) - g + imp * m
-    active = SkeletonMap(disc.mesh, 3 * disc.nF).dofs
-    return float(np.abs(residual[active]).max(initial=0.0))
+    free = np.repeat(disc.mesh.face_tags != BoundaryTag.DIRICHLET, 3 * disc.nF)
+    return float(np.abs(residual[free]).max(initial=0.0))
 
 
 def save_solution(path, solution, header=None):

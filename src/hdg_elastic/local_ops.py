@@ -175,6 +175,12 @@ def element_blocks(disc, material, elements):
                        nS, nW3, nFd, resolution_bound(material, pts))
 
 
+def element_block_batches(disc, material):
+    """element_blocks of all elements, in the batches of element_batches."""
+    return [element_blocks(disc, material, batch)
+            for batch in element_batches(disc.mesh.num_elements, block_bytes(disc))]
+
+
 def assemble_local_blocks(disc, material, e):
     """Quadrature assembly of all real elemental blocks: a batch of one.
 
@@ -255,17 +261,19 @@ def _inverse_norm1(Ainv, P_D, Sinv):
                       (colsum(Y) + colsum(Sinv)).max(axis=1))
 
 
-def condense_batch(blocks, kappa, variant, f):
-    """Static condensation of an element batch, keeping its local solvers.
+def condense_batch(blocks, kappa2, alpha, f):
+    """Static condensation of an element batch at (kappa^2, alpha), keeping
+    its local solvers; kappa2 < 0 is an implicit time step (time_domain).
 
-    blocks carry a leading element axis and f holds the load moments
-    (nb, 3nW). A is real, SPD and independent of kappa, so it is eliminated
-    first, in real arithmetic (P_D = A^-1 D^T, P_N = A^-1 N^T); only the
-    Schur complement Sigma = k^2 M - a T11 - D P_D (size 3nW) is inverted,
-    and no real block is promoted to complex. Sigma, R, X, S and cond take
-    the dtype of alpha: float64 for a real alpha (the conservative variant),
-    which halves the memory and flops of the inverse and the products; z and
-    the loads take the dtype of f and Sigma together. With
+    blocks carry a leading element axis. f holds the load moments (nb, 3nW),
+    or r loads per element (nb, 3nW, r), which add a trailing axis r to z and
+    the loads. A is real, SPD and independent of (kappa2, alpha), so it is
+    eliminated first, in real arithmetic (P_D = A^-1 D^T, P_N = A^-1 N^T);
+    only the Schur complement Sigma = k^2 M - a T11 - D P_D (size 3nW) is
+    inverted, and no real block is promoted to complex. Sigma, R, X, S and
+    cond take the dtype of alpha: float64 for a real alpha, which halves the
+    memory and flops of the inverse and the products; z and the loads take
+    the dtype of f and Sigma together. With
     R = -a tau G^T - D P_N, X_u = Sigma^-1 R and z_u = Sigma^-1 f:
 
       S     (nb, nM, nM)  B_out X + a tau I = N P_N + R^T X_u + a tau I
@@ -275,10 +283,9 @@ def condense_batch(blocks, kappa, variant, f):
       cond  (nb,)         exactly np.linalg.cond(C, 1), from the blocks of C and C^-1
 
     Raises SingularLocalSolverError as factorize_local does."""
-    alpha = variant.alpha(kappa)
     nb, nS, nM = len(blocks.element), blocks.nS, blocks.nM
     N = blocks.N.reshape(nb, nM, nS)
-    B = kappa ** 2 * blocks.M - alpha * blocks.T11
+    B = kappa2 * blocks.M - alpha * blocks.T11
     Ainv = np.linalg.inv(blocks.A)
     P_D = Ainv @ np.swapaxes(blocks.D, 1, 2)
     P_N = Ainv @ np.swapaxes(N, 1, 2)
@@ -295,18 +302,22 @@ def condense_batch(blocks, kappa, variant, f):
         i = int(np.flatnonzero(bad)[0])
         raise SingularLocalSolverError(
             f"local solver is singular on element {blocks.element[i]} "
-            f"(kappa={kappa}, variant={variant.tag}, cond={cond[i]:.3e})")
+            f"(kappa^2={kappa2}, alpha={alpha}, cond={cond[i]:.3e})")
     R = -(blocks.D @ P_N) - (alpha * blocks.tau[:, None, None]
                               * np.swapaxes(blocks.G.reshape(nb, nM, -1), 1, 2))
     X = np.empty((nb, nS + blocks.nW3, nM), dtype=R.dtype)
     X_u = np.matmul(Sinv, R, out=X[:, nS:])
     X[:, :nS] = P_N - _rmul(P_D, X_u)
-    z_u = _rmul(Sinv, np.asarray(f)[:, :, None])
-    z = np.concatenate([-_rmul(P_D, z_u), z_u], axis=1)[:, :, 0]
+    F = np.asarray(f)
+    z_u = _rmul(Sinv, F[:, :, None] if F.ndim == 2 else F)
+    z = np.concatenate([-_rmul(P_D, z_u), z_u], axis=1)
     Rt = np.swapaxes(R, 1, 2)
     S = Rt @ X_u + N @ P_N
     S.reshape(nb, -1)[:, ::nM + 1] += alpha * blocks.tau[:, None]   # the diagonals
-    return S, -_rmul(Rt, z_u)[:, :, 0], X, z, cond
+    loads = -_rmul(Rt, z_u)
+    if F.ndim == 2:
+        loads, z = loads[:, :, 0], z[:, :, 0]
+    return S, loads, X, z, cond
 
 
 def resolution_flags(kappa, h, wave_bound):

@@ -20,17 +20,23 @@ accumulating flux keeps its law but is no usable integrator: its flow grows
 violently, faster on finer meshes (energy x1e55 at n = 1 and x1e98 at n = 2
 over 20 steps of dt = 0.02 from a random state).
 
-Each step solves a real sparse block system, factored once per step size.
-Newmark (conservative, c = BETA dt^2) solves (M + c K) u1 = M u_pred in (u1, s, m):
-  [[M + c T11, -c D, -c T12], [D^T, A, -N^T], [T12^T, -N, -T22]] (u1, s, m)
-    = (M u_pred, 0, 0),
-with (s, m) slaved to u1, and takes a1 = (u1 - u_pred) / c: (M + c K) a1 = -K u_pred.
-The trapezoidal rule (rate fluxes, h = dt/2) solves for the step midpoint
-w = (z0 + z1)/2 of z = (u, v, m):
-  [[M - h sign T11, -h D, sign T12], [h D^T, A, -N^T],
-   [-h T12^T, -h sign N, T22]] (w_v, s, w_m)
-    = (M v0 + sign T12 m0, -D^T u0, T22 m0),
-then u1 = u0 + dt w_v, v1 = 2 w_v - v0 and m1 = 2 w_m - m0.
+Every implicit step is the hybrid system of the frequency-domain solver at a
+real (kappa^2, alpha) with an element load linear in the old state, condensed
+onto the skeleton traces by local_ops.condense_batch:
+  Newmark (conservative, c = BETA dt^2): (M + c K) u1 = M u_pred is the
+    conservative system at (kappa^2, alpha) = (-1/c, 1) in u1, with element
+    load f = -M u_pred / c; then a1 = (u1 - u_pred) / c.
+  trapezoidal rule (rate fluxes, h = dt/2): the system at (-1/h^2, -sign/h)
+    in the midpoint (w_u, w_m) = ((u0 + u1)/2, (m0 + m1)/2), with element load
+    f = -M v0 / h + (kappa^2 M - alpha T11) u0 + alpha tau G^T m0 and the
+    skeleton right side sum_K alpha tau_K (m0 - G u0)_K; then u1 = 2 w_u - u0,
+    v1 = 2 (w_u - u0) / h - v0 and m1 = 2 w_m - m0.
+The slaved (s, m) of the conservative flux solve the static skeleton system
+  sum_K (N_K A_K^-1 N_K^T + tau_K I) m = (N A^-1 D^T + T12^T) u,
+  s = A^-1 (N^T m - D^T u).
+Each skeleton matrix is factored once per step size, as solve_skeleton
+factors; a step is one batched element load, one skeleton solve and one
+batched displacement recovery.
 
 The real blocks are the global operators of the frequency-domain solver
 (global_system.global_operators), restricted to the trace dofs of the
@@ -42,12 +48,12 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .global_system import SkeletonMap, global_operators
+from .global_system import SkeletonMap, factor_skeleton, global_operators
 # unused here; perfbench/tracing.py wraps it through this module's binding
 from .local_ops import assemble_local_blocks  # noqa: F401
+from .local_ops import condense_batch, element_block_batches
 
 FLUXES = ("conservative", "accumulating", "dissipative")
 BETA = 1.0 / 3.0   # Newmark beta (gamma = 1/2); beta >= 1/4 is unconditionally stable
@@ -75,7 +81,8 @@ def initial_state(system, u0, v0):
 
 
 class SemidiscreteSystem:
-    """Assembled global real blocks and flux-specific dynamics."""
+    """Assembled global real blocks, flux-specific dynamics and the condensed
+    step operators, built once per step size."""
 
     def __init__(self, disc, material, flux):
         if flux not in FLUXES:
@@ -83,7 +90,8 @@ class SemidiscreteSystem:
         self.disc = disc
         self.material = material
         self.flux = flux
-        ops = global_operators(disc, material)
+        self._blocks = element_block_batches(disc, material)
+        ops = global_operators(disc, self._blocks)
         self.skeleton = SkeletonMap(disc.mesh, 3 * disc.nF)
         active = self.skeleton.dofs
         self.ns, self.nu, self.nm = ops.A.shape[0], ops.M.shape[0], self.skeleton.ndof
@@ -97,22 +105,23 @@ class SemidiscreteSystem:
 
         self._sign = {"accumulating": 1.0, "dissipative": -1.0}.get(flux)
         self._M_lu = spla.splu(self.M)
+        self._A_lu = spla.splu(self.A)
         if flux == "conservative":
-            # slaving block [[A, -N^T], [-N, -T22]], symmetric
-            self._slave_lu = spla.splu(sps.bmat(
-                [[self.A, -self.N.T], [-self.N, -sps.diags(self.t22)]], format="csc"))
-        else:
-            self._A_lu = spla.splu(self.A)
-        self._keff = None
-        self._step_lu = {}
+            S = []
+            for b in self._blocks:   # sum_K N_K A_K^-1 N_K^T + tau_K I
+                N = b.N.reshape(len(b.element), b.nM, b.nS)
+                S.append(N @ np.linalg.solve(b.A, np.swapaxes(N, 1, 2)))
+                S[-1].reshape(len(b.element), -1)[:, ::b.nM + 1] += b.tau[:, None]
+            self._slave_lu = factor_skeleton(self.skeleton.matrix(np.concatenate(S)))
+        self._steps = {}
 
     # ---- slaved variables ----
 
     def slave_conservative(self, w):
-        """(s, m) solving the stress and transmission constraints for u = w."""
-        rhs = np.concatenate([-(self.D.T @ w), -(self.T12.T @ w)])
-        sol = self._slave_lu.solve(rhs)
-        return sol[:self.ns], sol[self.ns:]
+        """(s, m) solving the stress and transmission constraints for u = w
+        (a vector, or a matrix of columns) on the static skeleton factor."""
+        m = self._slave_lu.solve(self.N @ self._A_lu.solve(self.D.T @ w) + self.T12.T @ w)
+        return self.stress_from(w, m), m
 
     def _stiffness(self, w):
         """(K w, s, m) for the conservative flux: K w = T11 w - D s - T12 m."""
@@ -171,20 +180,38 @@ class SemidiscreteSystem:
 
     def effective_stiffness(self):
         """Dense K with M u'' = -K u for the conservative flux (reference only)."""
-        if self._keff is None:
-            R = sps.hstack([self.D, self.T12]).tocsr()
-            X = self._slave_lu.solve(np.asarray(R.T.toarray()))
-            self._keff = np.asarray(R @ X) + np.asarray(self.T11.toarray())
-            self._keff = 0.5 * (self._keff + self._keff.T)
-        return self._keff
+        K = self._stiffness(np.eye(self.nu))[0]
+        return 0.5 * (K + K.T)
+
+    def _condense(self, kappa2, alpha):
+        """The hybrid system at (kappa2, alpha), condensed for every load: its
+        skeleton factor and, per element, the maps L_K of the load moments f_K
+        to the skeleton loads and X_K, Z_K to the displacement X_K m_K + Z_K f_K,
+        zero on Dirichlet traces. Raises SingularLocalSolverError as
+        condense_batch does."""
+        parts = []
+        for b in self._blocks:
+            eye = np.broadcast_to(np.eye(b.nW3), (len(b.element), b.nW3, b.nW3))
+            S, L, X, Z, _ = condense_batch(b, kappa2, alpha, eye)
+            parts.append((S, L, X[:, b.nS:], Z[:, b.nS:]))
+        S, L, X, Z = (np.concatenate(p) for p in zip(*parts))
+        free = self.skeleton.free
+        return (factor_skeleton(self.skeleton.matrix(S)), L * free[:, :, None],
+                X * free[:, None, :], Z)
+
+    def _solve(self, step, f, rhs):
+        """Skeleton traces m and displacement u of a condensed step with load
+        moments f (nu,) and skeleton right side rhs besides the loads."""
+        skel, (lu, L, X, Z) = self.skeleton, step
+        f = f.reshape(len(Z), -1, 1)
+        m = lu.solve(rhs + np.bincount(skel.element_dofs.ravel(), (L @ f).ravel(), skel.ndof))
+        return m, (X @ m[skel.element_dofs][:, :, None] + Z @ f).ravel()
 
     def _first_order_operator(self, dt):
-        """Sparse trapezoidal step matrix in the midpoint unknowns (w_v, s, w_m)."""
-        h, sign = 0.5 * dt, self._sign
-        return sps.bmat([[self.M - h * sign * self.T11, -h * self.D, sign * self.T12],
-                         [h * self.D.T, self.A, -self.N.T],
-                         [-h * self.T12.T, -h * sign * self.N, sps.diags(self.t22)]],
-                        format="csc")
+        """Condensed trapezoidal step: the hybrid system at (kappa^2, alpha) =
+        (-1/h^2, -sign/h), h = dt/2."""
+        h = 0.5 * dt
+        return self._condense(-1.0 / h ** 2, -self._sign / h)
 
     # ---- time stepping ----
 
@@ -192,10 +219,10 @@ class SemidiscreteSystem:
         """Advance one step of size dt.
 
         Conservative flux: implicit Newmark (gamma = 1/2, beta = BETA) on the
-        condensed second-order ODE, one solve per step. States carry the
-        acceleration a = M^-1 (-K u) on to the next step.
+        condensed second-order ODE, one skeleton solve per step. States carry
+        the acceleration a = M^-1 (-K u) on to the next step.
         Rate fluxes: trapezoidal rule on the first-order system in (u, v, m).
-        Each step matrix is factored once per dt.
+        Each step's skeleton matrix is factored once per dt.
         """
         if not np.isfinite(dt) or dt <= 0:
             raise ValueError("time step must be positive")
@@ -205,29 +232,24 @@ class SemidiscreteSystem:
 
     def _newmark_step(self, state, dt):
         c = BETA * dt * dt
-        if dt not in self._step_lu:
-            self._step_lu[dt] = spla.splu(sps.bmat(
-                [[self.M + c * self.T11, -c * self.D, -c * self.T12],
-                 [self.D.T, self.A, -self.N.T],
-                 [self.T12.T, -self.N, -sps.diags(self.t22)]], format="csc"))
+        if dt not in self._steps:
+            self._steps[dt] = self._condense(-1.0 / c, 1.0)
         a0 = (state.a if state.a is not None
               else self._M_lu.solve(-self._stiffness(state.u)[0]))
         u_pred = state.u + dt * state.v + dt * dt * (0.5 - BETA) * a0
-        rhs = np.concatenate([self.M @ u_pred, np.zeros(self.ns + self.nm)])
-        u1 = self._step_lu[dt].solve(rhs)[:self.nu].copy()
+        u1 = self._solve(self._steps[dt], -(self.M @ u_pred) / c, 0.0)[1]
         a1 = (u1 - u_pred) / c
         return TimeState(state.t + dt, u1, state.v + 0.5 * dt * (a0 + a1), a=a1)
 
     def _trapezoidal_step(self, state, dt):
-        if dt not in self._step_lu:
-            self._step_lu[dt] = spla.splu(self._first_order_operator(dt))
-        rhs = np.concatenate([self.M @ state.v + self._sign * (self.T12 @ state.m),
-                              -(self.D.T @ state.u), self.t22 * state.m])
-        w = self._step_lu[dt].solve(rhs)
-        wv, wm = w[:self.nu], w[self.nu + self.ns:]
-        return TimeState(state.t + dt, state.u + dt * wv,
-                         2.0 * wv - state.v, 2.0 * wm - state.m)
-
+        if dt not in self._steps:
+            self._steps[dt] = self._first_order_operator(dt)
+        h = 0.5 * dt
+        kappa2, alpha = -1.0 / h ** 2, -self._sign / h
+        u, v, m = state.u, state.v, state.m
+        f = self.M @ (kappa2 * u - v / h) - alpha * (self.T11 @ u - self.T12 @ m)
+        wm, wu = self._solve(self._steps[dt], f, alpha * (self.t22 * m - self.T12.T @ u))
+        return TimeState(state.t + dt, 2.0 * wu - u, 2.0 * (wu - u) / h - v, 2.0 * wm - m)
 
 def write_energy_trace(path, system, states):
     """CSV energy trace: t, energy, rate, flux."""

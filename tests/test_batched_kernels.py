@@ -50,7 +50,7 @@ def test_batched_condensation_matches_per_element(mixed2, small_batches, tag):
     for batch in small_batches(disc):
         f = load_moments(disc, batch, data.f)
         S, loads, _, _, cond = condense_batch(
-            element_blocks(disc, case.material, batch), kappa, variant, f)
+            element_blocks(disc, case.material, batch), kappa ** 2, variant.alpha(kappa), f)
         for i, e in enumerate(batch):
             fact = factorize_local(assemble_local_blocks(disc, case.material, e),
                                    kappa, variant)
@@ -105,6 +105,25 @@ def test_resolution_flag_on_main_path():
         assert system.diagnostics["flagged_elements"] == sum(flags) == expected
 
 
+# a real and a complex frequency problem, a Newmark and a trapezoidal step
+@pytest.mark.parametrize("kappa2,alpha", [(1.69, 1.0), (1.69, 1.3j),
+                                          (-7500.0, 1.0), (-1e4, 100.0)])
+def test_load_matrix_condenses_column_by_column(kappa2, alpha):
+    mesh = tag_boundary(build_structured_cube(1), "mixed")
+    disc = Discretization(mesh, 2)
+    ne = mesh.num_elements
+    blocks = element_blocks(disc, variable_preset(), np.arange(ne))
+    F = np.random.default_rng(6).standard_normal((ne, blocks.nW3, 3))
+    S, loads, X, z, cond = condense_batch(blocks, kappa2, alpha, F)
+    assert loads.shape == (ne, blocks.nM, 3) and z.shape == (ne, X.shape[1], 3)
+    for j in range(F.shape[2]):
+        S_j, loads_j, X_j, z_j, cond_j = condense_batch(blocks, kappa2, alpha, F[:, :, j])
+        assert np.array_equal(S, S_j) and np.array_equal(X, X_j)
+        assert np.array_equal(cond, cond_j)
+        assert rel(loads[:, :, j], loads_j) < TOL
+        assert rel(z[:, :, j], z_j) < TOL
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_condition_number_is_exact(k):
     # resolved at kappa = 0.5, every element flagged at kappa = 50
@@ -116,7 +135,8 @@ def test_condition_number_is_exact(k):
     for kappa, flagged in ((0.5, 0), (50.0, ne)):
         assert resolution_flags(kappa, blocks.h, blocks.wave_bound).sum() == flagged
         for variant in VARIANTS.values():
-            cond = condense_batch(blocks, kappa, variant, np.zeros((ne, blocks.nW3)))[4]
+            cond = condense_batch(blocks, kappa ** 2, variant.alpha(kappa),
+                                  np.zeros((ne, blocks.nW3)))[4]
             for e in range(ne):
                 C = local_matrix(assemble_local_blocks(disc, material, e), kappa, variant)
                 ref = np.linalg.cond(C, 1)
@@ -128,7 +148,7 @@ def test_static_first_order_local_solver_is_singular():
     disc = Discretization(mesh, 1)
     blocks = element_blocks(disc, variable_preset(), np.arange(mesh.num_elements))
     with pytest.raises(SingularLocalSolverError, match="singular"):
-        condense_batch(blocks, 0.0, VARIANTS["first_order"],
+        condense_batch(blocks, 0.0, VARIANTS["first_order"].alpha(0.0),
                        np.zeros((mesh.num_elements, blocks.nW3)))
 
 

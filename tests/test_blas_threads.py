@@ -11,12 +11,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SCRIPT = r"""
+PRELUDE = r"""
 import ctypes, glob, json, os, sys
 import numpy as np
-from hdg_elastic import (VARIANTS, Discretization, build_structured_cube,
-                         compute_errors, make_case, problem_data_from_case,
-                         solve_time_harmonic, tag_boundary)
+from hdg_elastic import (VARIANTS, Discretization, SemidiscreteSystem, TimeState,
+                         build_structured_cube, compute_errors, make_case,
+                         problem_data_from_case, solve_time_harmonic, tag_boundary,
+                         variable_preset)
 
 def blas_threads():
     # OpenBLAS bundled with numpy wheels; None where it cannot be found
@@ -27,7 +28,9 @@ def blas_threads():
         if fn is not None:
             return fn()
     return None
+"""
 
+SCRIPT = PRELUDE + r"""
 case = make_case("varcoeff", kappa=1.0)
 disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
 sol, _ = solve_time_harmonic(disc, case.material, problem_data_from_case(case),
@@ -39,14 +42,31 @@ print(json.dumps({"threads": blas_threads(),
                              report.rel_err_sigma, report.err_trace]}))
 """
 
+# 20 steps from a random state: Newmark (conservative) or trapezoidal (dissipative)
+STEPS_SCRIPT = PRELUDE + r"""
+flux = sys.argv[2]
+disc = Discretization(tag_boundary(build_structured_cube(2), "all-dirichlet"), 1)
+system = SemidiscreteSystem(disc, variable_preset(), flux)
+rng = np.random.default_rng(16)
+state = TimeState(0.0, rng.standard_normal(system.nu), rng.standard_normal(system.nu),
+                  None if flux == "conservative" else rng.standard_normal(system.nm))
+for _ in range(20):
+    state = system.step(state, 0.02)
+fields = {"u": state.u, "v": state.v}
+if state.m is not None:
+    fields["m"] = state.m
+np.savez(sys.argv[1], **fields)
+print(json.dumps({"threads": blas_threads(), "errors": []}))
+"""
 
-def _run(tmp_path, threads, variant):
+
+def _run(tmp_path, threads, variant, script=SCRIPT):
     out = tmp_path / f"{variant}-threads{threads}.npz"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(out), variant], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(out), variant], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if result["threads"] is not None:
@@ -65,3 +85,11 @@ def test_solve_independent_of_blas_threads(tmp_path, variant):
     for name, a in fields1.items():
         b = fields2[name]
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), name
+
+
+@pytest.mark.parametrize("flux", ["conservative", "dissipative"])
+def test_steps_independent_of_blas_threads(tmp_path, flux):
+    _, fields1 = _run(tmp_path, 1, flux, STEPS_SCRIPT)
+    _, fields2 = _run(tmp_path, 2, flux, STEPS_SCRIPT)
+    for name, a in fields1.items():
+        assert np.abs(a - fields2[name]).max() <= 1e-12 * np.abs(a).max(), name

@@ -12,11 +12,13 @@ from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
                          load_solution, make_case, outward_normal, save_solution,
                          solve_monolithic, solve_skeleton, solve_time_harmonic,
                          tag_boundary)
+from hdg_elastic import global_system
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.global_system import (SkeletonMap, boundary_data, global_operators,
                                        load_moments, solve_dirichlet_trace, trace_dofs)
 from hdg_elastic.local_ops import (assemble_local_blocks, block_bytes, condense_batch,
-                                   element_batches, element_blocks)
+                                   element_batches, element_block_batches,
+                                   element_blocks)
 from hdg_elastic.mesh import dissection_order
 
 
@@ -39,7 +41,7 @@ def test_global_operators_match_local_blocks(poly_setup):
     # the shared global operators against an element-by-element scatter
     disc, case, _ = poly_setup
     mesh = disc.mesh
-    ops = global_operators(disc, case.material)
+    ops = global_operators(disc, element_block_batches(disc, case.material))
     blocks = [assemble_local_blocks(disc, case.material, e)
               for e in range(mesh.num_elements)]
     for name in ("A", "D", "M", "T11"):
@@ -132,6 +134,22 @@ def test_flux_single_valued_varcoeff():
                                  VARIANTS["first_order"])
     assert flux_residual(disc, case.material, data, VARIANTS["first_order"],
                          sol) < 1e-9
+
+
+def test_flux_residual_needs_no_skeleton_order(monkeypatch):
+    # the residual is a maximum over the non-Dirichlet trace dofs, in any order
+    case = make_case("varcoeff", kappa=1.0)
+    disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
+    data = problem_data_from_case(case)
+    variant = VARIANTS["first_order"]
+    sol, _ = solve_time_harmonic(disc, case.material, data, variant)
+    expected = flux_residual(disc, case.material, data, variant, sol)
+
+    def no_order(mesh):
+        raise AssertionError("flux_residual ordered the skeleton")
+
+    monkeypatch.setattr(global_system, "dissection_order", no_order)
+    assert flux_residual(disc, case.material, data, variant, sol) == expected
 
 
 def test_skeleton_residual_varcoeff():
@@ -323,8 +341,8 @@ def _all_faces_skeleton_system(disc, material, data, variant):
     S, loads = [], []
     for batch in element_batches(ne, block_bytes(disc)):
         f = load_moments(disc, batch, data.f)
-        Sb, lb = condense_batch(element_blocks(disc, material, batch), data.kappa,
-                                variant, f)[:2]
+        Sb, lb = condense_batch(element_blocks(disc, material, batch), data.kappa ** 2,
+                                variant.alpha(data.kappa), f)[:2]
         S.append(Sb)
         loads.append(lb)
     S, loads = np.concatenate(S), np.concatenate(loads)

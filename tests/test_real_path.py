@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from hdg_elastic import (VARIANTS, Discretization, assemble_hybrid,
+from hdg_elastic import (VARIANTS, Discretization, assemble_hybrid, assemble_monolithic,
                          assemble_local_blocks, build_structured_cube, condense,
                          factorize_local, make_case, recover, solve_monolithic,
                          solve_time_harmonic, tag_boundary)
@@ -111,3 +111,22 @@ def test_impedance_faces_make_the_matrix_complex():
     assert system.matrix.dtype == np.complex128
     assert system.solvers.dtype == np.float64
     assert_matches_monolithic(disc, case, data)
+
+
+def test_conservative_monolithic_oracle_is_real():
+    # the uncondensed oracle is real where the hybrid system is; its float64
+    # factor solves the complex right side as two columns
+    case = make_case("pwave", kappa=1.0)
+    disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
+    data = problem_data_from_case(case)
+    mat, rhs, _ = assemble_monolithic(disc, case.material, data, CONSERVATIVE)
+    assert mat.dtype == np.float64
+    x = spla.spsolve(mat.astype(np.complex128).tocsc(), rhs)
+    sol = solve_monolithic(disc, case.material, data, CONSERVATIVE)
+    assert rel(np.concatenate([sol.sigma.ravel(), sol.u.ravel(), sol.uhat.ravel()]), x) < 1e-12
+    for variant, form in ((VARIANTS["first_order"], "second"), (None, "first")):
+        assert assemble_monolithic(disc, case.material, data, variant,
+                                   form)[0].dtype == np.complex128
+    impedance = Discretization(tag_boundary(build_structured_cube(1), "impedance"), 1)
+    assert assemble_monolithic(impedance, case.material, data,
+                               CONSERVATIVE)[0].dtype == np.complex128

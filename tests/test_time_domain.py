@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hdg_elastic import time_domain
 from hdg_elastic import (FLUXES, VARIANTS, Discretization, SemidiscreteSystem,
                          TimeState, assemble_monolithic, build_structured_cube,
                          isotropic, make_case, tag_boundary, variable_preset,
@@ -347,3 +348,18 @@ def test_newmark_step_with_carried_acceleration_needs_no_slaving(systems, monkey
     assert calls == []
     system.step(replace(state, a=None), 0.02)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("flux", ["conservative", "dissipative"])
+def test_steps_factor_one_skeleton_matrix_per_dt(monkeypatch, flux):
+    # a step factors its skeleton matrix only, once per step size
+    mesh = tag_boundary(build_structured_cube(1), "mixed")
+    system = SemidiscreteSystem(Discretization(mesh, 1), variable_preset(), flux)
+    shapes, splu = [], time_domain.spla.splu
+    monkeypatch.setattr(time_domain.spla, "splu",
+                        lambda A, *args, **kwargs: shapes.append(A.shape)
+                        or splu(A, *args, **kwargs))
+    state = random_state(system, 15)
+    for dt in (0.02, 0.02, 0.03):
+        state = system.step(state, dt)
+    assert shapes == [(system.nm, system.nm)] * 2
