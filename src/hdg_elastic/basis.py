@@ -1,76 +1,57 @@
 """Orthonormal polynomial bases on the reference triangle and tetrahedron.
 
 Bases are monomials orthonormalized against the exact reference mass matrix
-(closed-form simplex monomial integrals), with one refinement pass so the
-Gram matrix is the identity to machine precision.
+(closed-form simplex monomial integrals), with refinement passes so the Gram
+matrix is the identity to machine precision. One construction serves both
+dimensions: the monomials and their gradients are products of scalar powers.
 """
 
-from math import factorial
+import itertools
+from functools import reduce
+from math import comb, factorial, prod
 
 import numpy as np
 
-_DIM = {"triangle": 2, "tetrahedron": 3}
+from .quadrature import SIMPLEX_DIM
 
 
 def simplex_space_dim(degree, dim):
     """dim P_degree on a dim-simplex."""
     if degree < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {degree}")
-    if dim == 2:
-        return (degree + 1) * (degree + 2) // 2
-    if dim == 3:
-        return (degree + 1) * (degree + 2) * (degree + 3) // 6
-    raise ValueError(f"unsupported simplex dimension {dim}")
+    if dim not in SIMPLEX_DIM.values():
+        raise ValueError(f"unsupported simplex dimension {dim}")
+    return comb(degree + dim, dim)
 
 
 def monomial_exponents(degree, dim):
-    """All exponent multi-indices of total degree <= degree, graded lexicographic."""
-    exps = []
-    if dim == 2:
-        for d in range(degree + 1):
-            for a in range(d, -1, -1):
-                exps.append((a, d - a))
-    else:
-        for d in range(degree + 1):
-            for a in range(d, -1, -1):
-                for b in range(d - a, -1, -1):
-                    exps.append((a, b, d - a - b))
+    """All exponent multi-indices of total degree <= degree, (n, dim): graded
+    by total degree, then descending lexicographic within a degree."""
+    descending = itertools.product(range(degree, -1, -1), repeat=dim)
+    exps = sorted((a for a in descending if sum(a) <= degree), key=sum)
     return np.array(exps, dtype=int)
 
 
 def monomial_integral(exponent):
-    """Exact integral of the monomial over the unit simplex.
-
-    For the tetrahedron: int x^a y^b z^c = a! b! c! / (a+b+c+3)!.
-    For the triangle:    int x^a y^b     = a! b!    / (a+b+2)!.
-    """
-    num = 1
-    for a in exponent:
-        num *= factorial(int(a))
+    """Exact integral of x^a over the unit simplex of dimension len(a),
+    a_1! ... a_dim! / (|a| + dim)!; a! b! c! / (a+b+c+3)! on the tetrahedron."""
+    num = prod(factorial(int(a)) for a in exponent)
     return num / factorial(int(sum(exponent)) + len(exponent))
-
-
-def _exact_mass(exps):
-    n = len(exps)
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = monomial_integral(exps[i] + exps[j])
-    return m
 
 
 class SimplexBasis:
     """L2-orthonormal polynomial basis of P_degree on a reference simplex."""
 
     def __init__(self, domain, degree):
-        if domain not in _DIM:
+        if domain not in SIMPLEX_DIM:
             raise ValueError(f"unknown simplex domain {domain!r}")
         self.domain = domain
-        self.dim = _DIM[domain]
+        self.dim = SIMPLEX_DIM[domain]
         self.degree = int(degree)
         self.exponents = monomial_exponents(self.degree, self.dim)
         self.n = len(self.exponents)
-        mass = _exact_mass(self.exponents)
+        mass = np.array([[monomial_integral(a + b) for b in self.exponents]
+                         for a in self.exponents])
         coeffs = np.linalg.inv(np.linalg.cholesky(mass).T)
         # refinement passes to remove arithmetic error of the factorization
         for _ in range(3):
@@ -89,24 +70,16 @@ class SimplexBasis:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (nq, {self.dim})")
-        nq = pts.shape[0]
-        nm = len(self.exponents)
-        vander = np.ones((nq, nm))
-        dvander = np.zeros((nq, nm, self.dim))
-        for m, exp in enumerate(self.exponents):
-            for d, a in enumerate(exp):
-                if a:
-                    vander[:, m] *= pts[:, d] ** a
-        for m, exp in enumerate(self.exponents):
-            for d, a in enumerate(exp):
-                if a == 0:
-                    continue
-                g = np.full(nq, float(a))
-                for dd, aa in enumerate(exp):
-                    p = aa - 1 if dd == d else aa
-                    if p:
-                        g *= pts[:, dd] ** p
-                dvander[:, m, d] = g
-        vals = vander @ self.coeffs
+        exps, axes = self.exponents, np.arange(self.dim)
+        powers = np.stack([pts ** p for p in range(self.degree + 1)], axis=-1)  # x_d^p
+        # monomial m is x^a = prod_d x_d^(a_d); its x_d-derivative is a_d times
+        # the product over e of x_e^(a_e - [e = d]), clipped at 0 where a_d = 0
+        lowered = np.maximum(exps[:, None, :] - np.eye(self.dim, dtype=int), 0)
+        # factors multiply left to right, the derivative's a_d first
+        vander = reduce(np.multiply, np.moveaxis(powers[:, axes, exps], -1, 0))
+        dvander = reduce(np.multiply, np.moveaxis(powers[:, axes, lowered], -1, 0),
+                         exps.astype(float))
+        # a C-contiguous vander gives the @ product its usual summation order
+        vals = np.ascontiguousarray(vander) @ self.coeffs
         grads = np.einsum("qmd,mn->qnd", dvander, self.coeffs)
         return vals, grads

@@ -53,7 +53,7 @@ class Discretization:
         self.vol_rule = simplex_rule("tetrahedron", self.exactness)
         self.face_rule = simplex_rule("triangle", self.exactness)
         self.phi_ref, self.dphi_ref = self.tet_basis_v.eval(self.vol_rule.points)
-        self.psi_ref, self.dpsi_ref = self.tet_basis_w.eval(self.vol_rule.points)
+        self.psi_ref = self.tet_basis_w.eval(self.vol_rule.points)[0]
         self.chi_ref, _ = self.tri_basis.eval(self.face_rule.points)
 
         verts = mesh.vertices[mesh.elements]                                   # (ne, 4, 3)
@@ -97,8 +97,7 @@ class Discretization:
         # least-squares chart inversion (points assumed on the face plane)
         ref = np.linalg.lstsq(self.face_jac[fi], (phys_points - self.face_origin[fi]).T,
                               rcond=None)[0].T
-        vals, _ = self.tri_basis.eval(ref)
-        return vals * self.face_scale[fi]
+        return self.tri_basis.eval(ref)[0] * self.face_scale[fi]
 
     def element_face_tables(self, e, lf):
         """Element V and W basis values at the quadrature points of local
@@ -124,21 +123,17 @@ class Discretization:
         return self.vol_rule.weights * self.det_jac[e][..., None]
 
     def scalar_basis(self, e, which):
-        """Values and physical gradients of the element scalar basis at volume
-        quadrature points. which is 'V' (degree k) or 'W' (degree k+1)."""
-        vals_ref, grads_ref = (self.phi_ref, self.dphi_ref) if which == "V" \
-            else (self.psi_ref, self.dpsi_ref)
-        s = 1.0 / np.sqrt(self.det_jac[e])[..., None, None]
-        vals = vals_ref * s
-        grads = (grads_ref @ self.jac_inv[e][..., None, :, :]) * s[..., None]
-        return vals, grads
+        """Values of the element scalar basis at the volume quadrature points:
+        the reference values over sqrt(det J), (nq, nV) for which='V' (degree
+        k) and (nq, nW) for 'W' (degree k+1). Values only, no gradients."""
+        vals_ref = self.phi_ref if which == "V" else self.psi_ref
+        return vals_ref * (1.0 / np.sqrt(self.det_jac[e])[..., None, None])
 
     def scalar_basis_at(self, e, phys_points, which):
         """Element scalar basis values at arbitrary physical points."""
         basis = self.tet_basis_v if which == "V" else self.tet_basis_w
         ref = (np.asarray(phys_points) - self.v0[e]) @ self.jac_inv[e].T
-        vals, _ = basis.eval(ref)
-        return vals / np.sqrt(self.det_jac[e])
+        return basis.eval(ref)[0] / np.sqrt(self.det_jac[e])
 
     def tau(self, e):
         """Stabilization weight: inverse element diameter."""
@@ -152,7 +147,7 @@ class Discretization:
         Returns coefficients of shape (3, nW)."""
         pts, wts = self.element_points(e), self.element_weights(e)
         vals = _evaluate(field, pts)
-        psi, _ = self.scalar_basis(e, "W")
+        psi = self.scalar_basis(e, "W")
         return np.einsum("...q,...qd,...qj->...dj", wts, vals, psi)
 
     def project_v(self, e, field):
@@ -162,7 +157,7 @@ class Discretization:
         from .materials import pack_sym
         pts, wts = self.element_points(e), self.element_weights(e)
         packed = pack_sym(_evaluate(field, pts))
-        phi, _ = self.scalar_basis(e, "V")
+        phi = self.scalar_basis(e, "V")
         return np.einsum("...q,...qc,...qi->...ci", wts, packed, phi)
 
     def project_face(self, fi, field):

@@ -40,8 +40,7 @@ def compute_errors(disc, material, case, solution):
     for batch in element_batches(mesh.num_elements,
                                  point_bytes * len(disc.vol_rule.weights)):
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
-        phi, _ = disc.scalar_basis(batch, "V")
-        psi, _ = disc.scalar_basis(batch, "W")
+        phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
         u_ex = case.u(pts)
         u_h = np.einsum("bdj,bqj->bqd", solution.u[batch], psi)
         s_ex = pack_sym(case.sigma(pts))
@@ -111,7 +110,7 @@ def energy_identity_sides(disc, material, case, solution):
     for batch in element_batches(mesh.num_elements, point_bytes + block_bytes(disc)):
         b = element_blocks(disc, material, batch)
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
-        phi, psi = disc.scalar_basis(batch, "V")[0], disc.scalar_basis(batch, "W")[0]
+        phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
         s_ex, u_ex = pack_sym(sigma_fo(pts)), case.u(pts)
         proj_s = np.einsum("bq,bqc,bqi->bci", wts, s_ex, phi)
         proj_u = np.einsum("bq,bqd,bqj->bdj", wts, u_ex, psi)

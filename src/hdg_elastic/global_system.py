@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .local_ops import (VARIANTS, FluxVariant, _rmul, block_bytes, condense_batch,
+from .local_ops import (FluxVariant, _rmul, block_bytes, condense_batch,
                         element_batches, element_block_batches, element_blocks,
                         resolution_flags)
 # The per-element reference path; perfbench/tracing.py wraps these names
@@ -384,7 +384,7 @@ def solve_time_harmonic(disc, material, data, variant):
 # ---- uncondensed oracles ----
 
 
-def assemble_monolithic(disc, material, data, variant=None, form="second"):
+def assemble_monolithic(disc, material, data, variant, form="second"):
     """Full sparse system over (stress, displacement, all traces).
 
     form='second': the alpha-family system in the second-order stress.
@@ -401,7 +401,6 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
         if np.any(mesh.face_tags == BoundaryTag.IMPEDANCE):
             raise ValueError("impedance oracle implemented for the second-order form")
     else:
-        variant = variant if variant is not None else VARIANTS["first_order"]
         alpha = variant.alpha(kappa)
     ops = global_operators(disc, element_block_batches(disc, material))
     g, imp = boundary_data(disc, data)
@@ -432,15 +431,25 @@ def assemble_monolithic(disc, material, data, variant=None, form="second"):
     return mat, rhs, (nS, nW3, nFd, 0, ns, ns + nu, len(rhs))
 
 
-def solve_monolithic(disc, material, data, variant=None, form="second"):
+def solve_monolithic(disc, material, data, variant, form="second"):
     """Direct solve of the uncondensed system; returns SolutionFields.
 
     A real matrix is factored once in float64, as the skeleton is.
-    Raises ValueError for a static pure-traction problem."""
+    Raises ValueError for a static pure-traction problem and
+    SingularSystemError when the factor fails or the solve does not converge."""
     _check_solvable(disc.mesh, data.kappa)
+    if form == "second" and data.kappa == 0 and variant.alpha(data.kappa) == 0:
+        # kappa^2 M - alpha T11 = 0: u is tested only against div V_K in
+        # P_{k-1}, so the rest of W_K is in the kernel. The factor is not
+        # attempted: SuperLU's COLAMD factor of it corrupts the heap.
+        raise SingularSystemError(f"monolithic system is singular: flux variant "
+                                  f"{variant.tag!r} has alpha = 0 at kappa = 0")
     mat, rhs, layout = assemble_monolithic(disc, material, data, variant, form)
     nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
-    x = _solve_lu(spla.splu(mat.tocsc()), mat, rhs)
+    try:
+        x = _solve_lu(spla.splu(mat.tocsc()), mat, rhs)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"monolithic solve failed: {exc}") from exc
     residual = np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(
@@ -449,7 +458,7 @@ def solve_monolithic(disc, material, data, variant=None, form="second"):
     sigma = x[off_s:off_s + ne * nS].reshape(ne, 6, disc.nV)
     u = x[off_u:off_u + ne * nW3].reshape(ne, 3, disc.nW)
     uhat = x[off_m:].reshape(disc.mesh.num_faces, 3, disc.nF)
-    tag = "first_order_unscaled" if form == "first" else variant.tag if variant else "first_order"
+    tag = "first_order_unscaled" if form == "first" else variant.tag
     return SolutionFields(data.kappa, tag, disc.k, sigma, u, uhat)
 
 

@@ -1,21 +1,21 @@
-"""Conical-product Gauss quadrature on the reference triangle and tetrahedron.
+"""Conical-product Gauss quadrature on the reference simplices.
 
-Reference domains are the unit simplices
-
-    triangle:    {(x, y)    : x, y >= 0, x + y <= 1}
-    tetrahedron: {(x, y, z) : x, y, z >= 0, x + y + z <= 1}
-
-Rules are built from 1D Gauss-Jacobi rules via the Duffy (collapsed
-coordinate) transform, so a rule of requested polynomial exactness d is
-available for any d up to MAX_EXACTNESS.
+The reference triangle and tetrahedron are {x : x_d >= 0, sum_d x_d <= 1} in
+dimension 2 and 3. One construction serves both: coordinate d of the cube
+[0, 1]^dim takes the Gauss rule with Jacobi weight (1 - t)^d, which absorbs
+the Jacobian of the collapse x_d = t_d prod_{e>d} (1 - t_e) onto the simplex,
+so the weights are the outer product of the 1D weights. m = exactness // 2 + 1
+points per coordinate integrate total degree <= exactness <= MAX_EXACTNESS.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 MAX_EXACTNESS = 40
+SIMPLEX_DIM = {"triangle": 2, "tetrahedron": 3}
 
 
 @dataclass(frozen=True)
@@ -26,52 +26,25 @@ class QuadratureRule:
     weights: np.ndarray  # (nq,)
 
 
-def _gauss01(n, alpha=0):
+def _gauss01(n, alpha):
     """n-point Gauss rule on [0,1] with weight (1-t)^alpha."""
     x, w = roots_jacobi(n, alpha, 0.0)
     # map [-1,1] -> [0,1]; weight picks up a 1/2^(alpha+1) factor
     return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
 
 
-def _check_degree(exactness):
-    if not isinstance(exactness, (int, np.integer)) or exactness < 0:
-        raise ValueError(f"quadrature exactness must be a nonnegative int, got {exactness!r}")
-    if exactness > MAX_EXACTNESS:
-        raise ValueError(f"quadrature exactness {exactness} exceeds supported maximum {MAX_EXACTNESS}")
-
-
-def triangle_rule(exactness):
-    """Rule exact for bivariate polynomials of total degree <= exactness."""
-    _check_degree(exactness)
-    m = exactness // 2 + 1
-    u, wu = _gauss01(m)
-    v, wv = _gauss01(m, alpha=1)
-    # x = u*(1-v), y = v; Jacobian (1-v) absorbed in the Jacobi weight
-    U, V = np.meshgrid(u, v, indexing="ij")
-    pts = np.column_stack([(U * (1.0 - V)).ravel(), V.ravel()])
-    wts = np.outer(wu, wv).ravel()
-    return QuadratureRule("triangle", exactness, pts, wts)
-
-
-def tetrahedron_rule(exactness):
-    """Rule exact for trivariate polynomials of total degree <= exactness."""
-    _check_degree(exactness)
-    m = exactness // 2 + 1
-    u, wu = _gauss01(m)
-    v, wv = _gauss01(m, alpha=1)
-    w, ww = _gauss01(m, alpha=2)
-    U, V, W = np.meshgrid(u, v, w, indexing="ij")
-    x = U * (1.0 - V) * (1.0 - W)
-    y = V * (1.0 - W)
-    z = W
-    pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    wts = np.einsum("i,j,k->ijk", wu, wv, ww).ravel()
-    return QuadratureRule("tetrahedron", exactness, pts, wts)
-
-
 def simplex_rule(domain, exactness):
-    if domain == "triangle":
-        return triangle_rule(exactness)
-    if domain == "tetrahedron":
-        return tetrahedron_rule(exactness)
-    raise ValueError(f"unknown quadrature domain {domain!r}")
+    """Rule on the reference simplex `domain` ('triangle' or 'tetrahedron'),
+    exact for polynomials of total degree <= exactness."""
+    if domain not in SIMPLEX_DIM:
+        raise ValueError(f"unknown quadrature domain {domain!r}")
+    if not isinstance(exactness, (int, np.integer)) or not 0 <= exactness <= MAX_EXACTNESS:
+        raise ValueError(f"quadrature exactness must be an int in [0, {MAX_EXACTNESS}], "
+                         f"got {exactness!r}")
+    dim = SIMPLEX_DIM[domain]
+    t, w = zip(*(_gauss01(exactness // 2 + 1, d) for d in range(dim)))
+    cube = np.meshgrid(*t, indexing="ij")
+    pts = [reduce(lambda x, te: x * (1.0 - te), cube[d + 1:], cube[d]).ravel()
+           for d in range(dim)]
+    return QuadratureRule(domain, exactness, np.column_stack(pts),
+                          reduce(np.multiply.outer, w).ravel())

@@ -8,10 +8,10 @@ import scipy.sparse as sps
 from scipy.linalg import block_diag
 
 from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
-                         assemble_hybrid, build_structured_cube, flux_residual,
-                         load_solution, make_case, outward_normal, save_solution,
-                         solve_monolithic, solve_skeleton, solve_time_harmonic,
-                         tag_boundary)
+                         SingularSystemError, assemble_hybrid, build_structured_cube,
+                         flux_residual, load_solution, make_case, outward_normal,
+                         save_solution, solve_monolithic, solve_skeleton,
+                         solve_time_harmonic, tag_boundary)
 from hdg_elastic import global_system
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.global_system import (SkeletonMap, boundary_data, global_operators,
@@ -317,6 +317,27 @@ def test_static_pure_traction_is_rejected(bc):
     with pytest.raises(ValueError, match="pure-traction"):
         solve_time_harmonic(disc, case.material, data, VARIANTS["conservative"])
     with pytest.raises(ValueError, match="pure-traction"):
+        solve_monolithic(disc, case.material, data, VARIANTS["conservative"])
+
+
+@pytest.mark.parametrize("tag", ["first_order", "time_reversed", "kappa_scaled"])
+def test_singular_monolithic_system_is_reported(tag):
+    # alpha(0) = 0 for these variants: at kappa = 0 the uncondensed matrix is
+    # exactly singular, as the local solvers of the skeleton solve are
+    case = make_case("polynomial", kappa=0.0, k=1)
+    disc = Discretization(tag_boundary(build_structured_cube(1), "mixed"), 1)
+    data = problem_data_from_case(case)
+    with pytest.raises(SingularSystemError, match="singular"):
+        solve_monolithic(disc, case.material, data, VARIANTS[tag])
+
+
+def test_monolithic_factor_failure_is_reported(poly_setup, monkeypatch):
+    def singular_factor(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    disc, case, data = poly_setup
+    monkeypatch.setattr(global_system.spla, "splu", singular_factor)
+    with pytest.raises(SingularSystemError, match="monolithic solve failed"):
         solve_monolithic(disc, case.material, data, VARIANTS["conservative"])
 
 

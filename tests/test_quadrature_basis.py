@@ -9,14 +9,37 @@ from hdg_elastic import (Discretization, SimplexBasis, build_structured_cube,
                          monomial_integral, simplex_rule, simplex_space_dim,
                          tag_boundary)
 from hdg_elastic.basis import monomial_exponents
+from hdg_elastic.quadrature import MAX_EXACTNESS
 
 
 # ---------------------------------------------------------------- quadrature
 
+DOMAINS = (("triangle", 2), ("tetrahedron", 3))
+
+
+def _monomial_moments(rule):
+    """The rule applied to x^a for every a in {0, ..., exactness}^dim,
+    indexed by a."""
+    x = np.moveaxis(rule.points[:, :, None] ** np.arange(rule.exactness + 1), 1, 0)
+    if len(x) == 2:
+        return (rule.weights[:, None] * x[0]).T @ x[1]
+    return np.stack([((rule.weights * x0)[:, None] * x[1]).T @ x[2] for x0 in x[0].T])
+
+
+def _check_monomials_exact(domain, dim):
+    for exactness in range(MAX_EXACTNESS + 1):
+        rule = simplex_rule(domain, exactness)
+        exps = monomial_exponents(exactness, dim)
+        got = _monomial_moments(rule)[tuple(exps.T)]
+        exact = np.array([monomial_integral(a) for a in exps])
+        assert np.abs(got - exact).max() < 1e-12, (domain, exactness)
+
+
 def test_weights_sum_to_reference_measure():
-    for deg in (0, 2, 5, 9):
-        assert abs(simplex_rule("tetrahedron", deg).weights.sum() - 1 / 6) < 1e-14
-        assert abs(simplex_rule("triangle", deg).weights.sum() - 1 / 2) < 1e-14
+    for domain, dim in DOMAINS:
+        for exactness in range(MAX_EXACTNESS + 1):
+            weights = simplex_rule(domain, exactness).weights
+            assert abs(weights.sum() - 1 / math.factorial(dim)) < 1e-14
 
 
 def test_tet_degree_zero_single_point():
@@ -26,13 +49,7 @@ def test_tet_degree_zero_single_point():
 
 
 def test_tet_monomials_exact():
-    for deg in (3, 6, 8):
-        rule = simplex_rule("tetrahedron", deg)
-        for a, b, c in monomial_exponents(deg, 3):
-            exact = monomial_integral((a, b, c))
-            got = np.sum(rule.weights * rule.points[:, 0] ** a
-                         * rule.points[:, 1] ** b * rule.points[:, 2] ** c)
-            assert abs(got - exact) < 1e-12 * max(abs(exact), 1.0)
+    _check_monomials_exact("tetrahedron", 3)
 
 
 def test_tri_xy_integral():
@@ -42,12 +59,7 @@ def test_tri_xy_integral():
 
 
 def test_tri_monomials_exact():
-    rule = simplex_rule("triangle", 7)
-    for a, b in monomial_exponents(7, 2):
-        exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-        got = np.sum(rule.weights * rule.points[:, 0] ** a
-                     * rule.points[:, 1] ** b)
-        assert abs(got - exact) < 1e-12 * max(abs(exact), 1.0)
+    _check_monomials_exact("triangle", 2)
 
 
 def test_unsupported_degree_rejected():
@@ -57,11 +69,21 @@ def test_unsupported_degree_rejected():
         simplex_rule("tetrahedron", -1)
 
 
+def test_unknown_simplex_rejected():
+    with pytest.raises(ValueError, match="domain"):
+        simplex_rule("square", 2)
+    with pytest.raises(ValueError, match="domain"):
+        SimplexBasis("square", 1)
+    with pytest.raises(ValueError, match="dimension"):
+        simplex_space_dim(1, 4)
+
+
 def test_monomial_integral_oracle():
     # factorial closed form: a! b! c! / (a+b+c+3)!
     assert abs(monomial_integral((0, 0, 0)) - 1 / 6) < 1e-16
     assert abs(monomial_integral((1, 0, 0)) - 1 / 24) < 1e-16
     assert abs(monomial_integral((1, 1, 1)) - 1 / 720) < 1e-18
+    assert abs(monomial_integral((2, 1)) - 2 / 120) < 1e-16
 
 
 # ---------------------------------------------------------------- bases
@@ -71,6 +93,24 @@ def test_space_dims():
     assert simplex_space_dim(2, 3) == 10
     assert simplex_space_dim(3, 3) == 20
     assert simplex_space_dim(2, 2) == 6
+    for domain, dim in DOMAINS:
+        for k in range(7):
+            assert (simplex_space_dim(k, dim) == len(monomial_exponents(k, dim))
+                    == SimplexBasis(domain, k).n)
+
+
+def test_monomial_exponent_order():
+    # graded by total degree, then descending lexicographic: the coefficient
+    # layout of every element block follows this order
+    np.testing.assert_array_equal(monomial_exponents(2, 2),
+                                  [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
+    np.testing.assert_array_equal(monomial_exponents(1, 3),
+                                  [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for _, dim in DOMAINS:
+        for k in range(7):
+            exps = [tuple(a) for a in monomial_exponents(k, dim)]
+            assert exps == sorted(exps, key=lambda a: (sum(a), [-c for c in a]))
+            assert len(set(exps)) == len(exps)
 
 
 def test_basis_orthonormal():
@@ -94,17 +134,43 @@ def test_basis_spans_polynomials():
     assert np.abs(vals @ coeffs - f).max() < 1e-12
 
 
+def _eval_by_monomial_loop(basis, pts):
+    """Reference for SimplexBasis.eval: the Vandermonde matrix and its
+    gradients one monomial and one factor at a time, in eval's order."""
+    vander = np.ones((len(pts), basis.n))
+    dvander = np.zeros((len(pts), basis.n, basis.dim))
+    for m, exp in enumerate(basis.exponents):
+        for d, a in enumerate(exp):
+            vander[:, m] *= pts[:, d] ** a
+            if a:
+                g = np.full(len(pts), float(a))
+                for e, b in enumerate(exp):
+                    g *= pts[:, e] ** (b - (e == d))
+                dvander[:, m, d] = g
+    return vander @ basis.coeffs, np.einsum("qmd,mn->qnd", dvander, basis.coeffs)
+
+
+def test_basis_eval_matches_monomial_loop():
+    for domain, _ in DOMAINS:
+        for k in range(5):
+            basis = SimplexBasis(domain, k)
+            pts = simplex_rule(domain, 2 * k + 2).points
+            for got, ref in zip(basis.eval(pts), _eval_by_monomial_loop(basis, pts)):
+                np.testing.assert_array_equal(got, ref)
+
+
 def test_basis_gradients_consistent():
-    basis = SimplexBasis("tetrahedron", 3)
-    rng = np.random.default_rng(7)
-    pts = rng.dirichlet(np.ones(4), size=20)[:, :3]
-    _, grads = basis.eval(pts)
-    h = 1e-6
-    for d in range(3):
-        e = np.zeros(3)
-        e[d] = h
-        fd = (basis.eval(pts + e)[0] - basis.eval(pts - e)[0]) / (2 * h)
-        assert np.abs(grads[:, :, d] - fd).max() < 1e-7
+    for domain, dim in DOMAINS:
+        rng = np.random.default_rng(7)
+        basis = SimplexBasis(domain, 3)
+        pts = rng.dirichlet(np.ones(dim + 1), size=20)[:, :dim]
+        _, grads = basis.eval(pts)
+        h = 1e-6
+        for d in range(dim):
+            e = np.zeros(dim)
+            e[d] = h
+            fd = (basis.eval(pts + e)[0] - basis.eval(pts - e)[0]) / (2 * h)
+            assert np.abs(grads[:, :, d] - fd).max() < 1e-7
 
 
 # ---------------------------------------------------------------- projections
@@ -218,7 +284,7 @@ def test_projection_error_contracts():
             for e in range(disc.mesh.num_elements):
                 # project onto P_k: use the V-degree scalar basis componentwise
                 pts, wts = disc.element_points(e), disc.element_weights(e)
-                vals, _ = disc.scalar_basis(e, "V")
+                vals = disc.scalar_basis(e, "V")
                 f = u(pts)
                 coeffs = np.einsum("q,qd,qi->di", wts, f, vals)
                 resid = f - np.einsum("di,qi->qd", coeffs, vals)
