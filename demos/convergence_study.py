@@ -27,7 +27,7 @@ def main():
         print(f"\nvariant = {variant}  (k = {args.k}, kappa = {args.kappa})")
         print(header)
         rows, _ = run_experiment("varcoeff", variant, args.k, [1, 2, 3, 4],
-                                 kappa=args.kappa, timing=False)
+                                 kappa=args.kappa)
         for r in rows:
             print(f"{r['n']:>2} {r['h']:7.4f} {r['err_u']:10.3e} "
                   f"{r['eoc_u'] and float(r['eoc_u']) or 0:5.2f} "

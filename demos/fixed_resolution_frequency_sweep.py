@@ -29,7 +29,7 @@ def main():
           f"k = 1")
     print(f"{'n':>2} {'kappa':>7} {'rel err u':>11} {'rel err sigma':>14}")
     rows, _ = run_experiment("hk-const", "first-order", 1, [1, 2, 3, 4],
-                             hk=args.hk, timing=False)
+                             hk=args.hk)
     for r in rows:
         print(f"{r['n']:>2} {r['kappa']:7.3f} {r['rel_err_u']:11.3e} "
               f"{r['rel_err_sigma']:14.3e}")

@@ -47,7 +47,7 @@ def _case_for(test, kappa, k):
 
 
 def run_experiment(test, variant_name, k, ns, kappa=1.0, hk=DEFAULT_HK,
-                   bc=None, oracle_monolithic=False, timing=True):
+                   bc=None, oracle_monolithic=False):
     """Run one ladder; returns (rows, oracle_report or None)."""
     variant = VARIANTS[VARIANT_NAMES.get(variant_name, variant_name)]
     bc = bc or _DEFAULT_BC[test]
@@ -86,8 +86,8 @@ def run_experiment(test, variant_name, k, ns, kappa=1.0, hk=DEFAULT_HK,
             "eoc_u": "", "eoc_sigma": "",
             "dofs_skeleton": info["dofs_skeleton"],
             "dofs_total": info["dofs_total"],
-            "assemble_s": info["assemble_s"] if timing else 0.0,
-            "solve_s": info["solve_s"] if timing else 0.0,
+            "assemble_s": info["assemble_s"],
+            "solve_s": info["solve_s"],
         })
     for i, (ou, os_) in enumerate(zip(eoc(errs_u, hs), eoc(errs_s, hs))):
         if i == 0 or ou is None:

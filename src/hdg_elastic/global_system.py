@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .local_ops import (FluxVariant, _rmul, block_bytes, condense_batch,
+from .local_ops import (FluxVariant, block_bytes, condense_batch,
                         element_batches, element_block_batches, element_blocks,
                         resolution_flags)
 # The per-element reference path; perfbench/tracing.py wraps these names
@@ -117,20 +117,15 @@ class SkeletonMap:
                         (self.ndof, self.ndof), sps.csc_matrix)
 
 
-def factor_skeleton(matrix):
+def factor_skeleton(matrix, name="skeleton"):
     """Sparse LU of a skeleton matrix as it is numbered, in the nested-dissection
     face order of its SkeletonMap. The pattern is symmetric: SymmetricMode
-    prefers diagonal pivots, keeping the order."""
-    return spla.splu(matrix, permc_spec="NATURAL", options=dict(SymmetricMode=True))
-
-
-def _solve_lu(lu, matrix, rhs):
-    """lu.solve of a complex right side; on the float64 factor of a real matrix
-    (half the memory and time of complex) as two real columns of one solve."""
-    if np.iscomplexobj(matrix):
-        return lu.solve(rhs)
-    parts = lu.solve(rhs.view(np.float64).reshape(-1, 2))
-    return parts[:, 0] + 1j * parts[:, 1]
+    prefers diagonal pivots, keeping the order. A failed factor raises
+    SingularSystemError, naming the system."""
+    try:
+        return spla.splu(matrix, permc_spec="NATURAL", options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SingularSystemError(f"{name} factor failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,11 @@ def global_operators(disc, blocks):
 
 
 def solve_dirichlet_trace(disc, g_d):
-    """Face-wise projection of the Dirichlet datum; zeros on other faces."""
-    values = np.zeros((disc.mesh.num_faces, 3, disc.nF), dtype=complex)
+    """Face-wise projection of the Dirichlet datum, in its dtype; zeros elsewhere."""
     fixed = np.flatnonzero(disc.mesh.face_tags == BoundaryTag.DIRICHLET)
-    values[fixed] = disc.project_face(fixed, g_d)
+    projected = disc.project_face(fixed, g_d)
+    values = np.zeros((disc.mesh.num_faces, 3, disc.nF), dtype=projected.dtype)
+    values[fixed] = projected
     return values
 
 
@@ -191,13 +187,12 @@ def boundary_data(disc, data):
     Returns (g, imp): g holds the moments <g_n(x, n), mu> on Neumann faces and
     <g_r(x, n), mu> on impedance faces, with n the outward unit normal; imp is
     the diagonal i kappa of the impedance condition sigma n + i kappa u = g_r
-    on impedance faces. Both are zero on all other faces. Each datum is
-    called once, on all faces with its tag."""
+    on impedance faces, complex only if one exists. Both are zero on all other
+    faces; g takes the moments' dtype. Each datum is called once, on all faces
+    with its tag."""
     mesh = disc.mesh
     tags = mesh.face_tags
-    g = np.zeros((mesh.num_faces, 3 * disc.nF), dtype=complex)
-    imp = np.zeros_like(g)
-    imp[tags == BoundaryTag.IMPEDANCE] = 1j * data.kappa
+    g = np.zeros((mesh.num_faces, 3 * disc.nF))
     for tag, datum in ((BoundaryTag.NEUMANN, data.g_n), (BoundaryTag.IMPEDANCE, data.g_r)):
         faces = np.flatnonzero(tags == tag)
         if faces.size:
@@ -205,8 +200,12 @@ def boundary_data(disc, data):
             lf = np.argmax(mesh.element_faces[owner] == faces[:, None], axis=1)
             _, _, normals = disc.element_face_tables(owner, lf)
             n = np.repeat(normals, disc.face_weights.shape[1], axis=0)
-            g[faces] = disc.project_face(faces, lambda x: datum(x, n)).reshape(len(faces), -1)
-    return g.ravel(), imp.ravel()
+            values = disc.project_face(faces, lambda x: datum(x, n)).reshape(len(faces), -1)
+            g = g.astype(np.result_type(g, values), copy=False)
+            g[faces] = values
+    impedance = np.repeat(tags == BoundaryTag.IMPEDANCE, 3 * disc.nF)
+    imp = impedance * (1j * data.kappa) if impedance.any() else np.zeros(impedance.size)
+    return g.ravel(), imp
 
 
 @dataclass
@@ -214,9 +213,9 @@ class HybridSystem:
     """Condensed skeleton system together with the local solvers that
     recover the interior unknowns from its solution.
 
-    matrix (CSC, numbered by skeleton) and solvers are float64 when alpha is
-    real (the conservative variant) and no face is an impedance face, complex
-    otherwise; rhs and interior are complex."""
+    matrix (CSC, numbered by skeleton), rhs and interior take the problem's
+    dtype (assemble_hybrid): float64 for a real alpha, no impedance face and
+    real data, complex otherwise; solvers take the dtype of alpha."""
     matrix: sps.csc_matrix
     rhs: np.ndarray
     skeleton: SkeletonMap
@@ -233,6 +232,8 @@ def assemble_hybrid(disc, material, data, variant):
     """Condensed skeleton system for the trace unknowns, scattered once into
     the skeleton numbering: the known Dirichlet traces are lifted into the
     loads (loads -= S_K m_D,K), and their rows and columns of S_K are zeroed.
+    Its dtype is np.result_type(alpha, impedance term, data), with the load
+    moments, the Dirichlet projection and the boundary moments as data.
 
     Impedance faces impose sigma_hat n + i kappa u_hat = g_r. Tested with the
     discrete solution, the imaginary part of the energy identity is then
@@ -242,8 +243,7 @@ def assemble_hybrid(disc, material, data, variant):
     RuntimeWarning."""
     mesh = disc.mesh
     alpha = variant.alpha(data.kappa)
-    impedance = np.any(mesh.face_tags == BoundaryTag.IMPEDANCE)
-    if np.imag(alpha) < 0 and impedance:
+    if np.imag(alpha) < 0 and np.any(mesh.face_tags == BoundaryTag.IMPEDANCE):
         warnings.warn(
             f"flux variant {variant.tag!r} has Im(alpha) < 0 on impedance "
             "faces: its stabilization and the impedance term enter the "
@@ -254,29 +254,28 @@ def assemble_hybrid(disc, material, data, variant):
     skel = SkeletonMap(mesh, nFd)
     dir_values = solve_dirichlet_trace(disc, data.g_d)
     g, imp = boundary_data(disc, data)
-    dtype = np.result_type(alpha, float)
-    S = np.empty((ne, nM, nM), dtype=complex if impedance else dtype)
-    loads = np.empty((ne, nM), dtype=complex)
-    X = np.empty((ne, n, nM), dtype=dtype)
-    z = np.empty((ne, n), dtype=complex)
+    f = load_moments(disc, np.arange(ne), data.f)
+    dtype = np.result_type(alpha, imp, f, dir_values, g)
+    S = np.empty((ne, nM, nM), dtype)
+    loads = np.empty((ne, nM), dtype)
+    X = np.empty((ne, n, nM), np.result_type(alpha, float))
+    z = np.empty((ne, n), dtype)
     cond = np.empty(ne)
     flags = np.empty(ne, dtype=bool)
     condense_s = 0.0
     for batch in element_batches(ne, block_bytes(disc)):
         blocks = element_blocks(disc, material, batch)
-        f = load_moments(disc, batch, data.f)
         t0 = time.perf_counter()
         S[batch], loads[batch], X[batch], z[batch], cond[batch] = \
-            condense_batch(blocks, data.kappa ** 2, alpha, f)
+            condense_batch(blocks, data.kappa ** 2, alpha, f[batch])
         condense_s += time.perf_counter() - t0
         flags[batch] = resolution_flags(data.kappa, blocks.h, blocks.wave_bound)
 
     traces = trace_dofs(mesh, nFd).reshape(ne, -1)
-    loads = (loads - _rmul(S, dir_values.ravel()[traces][:, :, None])[:, :, 0]) * skel.free
-    if impedance:   # the only complex term of a real-alpha matrix; one element per face
-        S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]
+    loads = (loads - (S @ dir_values.ravel()[traces][:, :, None])[:, :, 0]) * skel.free
+    S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]   # one element per impedance face
     matrix = skel.matrix(S)
-    rhs = g[skel.dofs]
+    rhs = g[skel.dofs].astype(dtype, copy=False)
     np.add.at(rhs, skel.element_dofs, loads)
     diagnostics = {"condense_s": condense_s, "skeleton_nnz": int(matrix.nnz),
                    "local_cond_min": float(cond.min()),
@@ -290,30 +289,27 @@ def assemble_hybrid(disc, material, data, variant):
 def solve_skeleton(system):
     """Sparse direct solve of the condensed system; returns (nfaces, 3, nF).
 
-    Factors the matrix with factor_skeleton, in float64 when it is real, and
+    Factors the matrix with factor_skeleton, in the system's dtype, and
     adds the relative residual, the LU fill (nonzeros of L and U) and the
     factor time (factor_s) to system.diagnostics."""
     t0 = time.perf_counter()
-    try:
-        lu = factor_skeleton(system.matrix)
-        system.diagnostics["factor_s"] = time.perf_counter() - t0
-        x = _solve_lu(lu, system.matrix, system.rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"skeleton solve failed: {exc}") from exc
+    lu = factor_skeleton(system.matrix)
+    system.diagnostics["factor_s"] = time.perf_counter() - t0
+    x = lu.solve(system.rhs)
     scale = max(np.linalg.norm(system.rhs), np.linalg.norm(x), 1e-300)
     residual = np.linalg.norm(system.matrix @ x - system.rhs) / scale
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(
             f"skeleton solve did not converge (relative residual {residual:.3e})")
     system.diagnostics.update(skeleton_residual=float(residual), lu_fill=int(lu.nnz))
-    uhat = system.dirichlet_values.copy()
+    uhat = system.dirichlet_values.astype(x.dtype)
     uhat[system.skeleton.active] = x.reshape(-1, *uhat.shape[1:])
     return uhat
 
 
 @dataclass
 class SolutionFields:
-    """Element-wise coefficients of the discrete solution.
+    """Element-wise coefficients of the discrete solution, in the system's dtype.
 
     sigma holds the second-order stress variable (sigma-tilde); for the
     first-order variant the unscaled stress is (i/kappa) * sigma."""
@@ -333,13 +329,12 @@ class SolutionFields:
 
 def reconstruct(system, uhat):
     """Recovery of (stress, displacement) from the traces uhat through the
-    local solvers of the system: X m + z on every element, with a real X
-    applied to the real and imaginary parts of m without promotion."""
+    local solvers of the system: X m + z on every element."""
     disc = system.disc
     mesh = disc.mesh
     ne, nS = mesh.num_elements, 6 * disc.nV
     m = uhat.reshape(mesh.num_faces, -1)[mesh.element_faces].reshape(ne, -1)
-    x = _rmul(system.solvers, m[:, :, None])[:, :, 0] + system.interior
+    x = (system.solvers @ m[:, :, None])[:, :, 0] + system.interior
     return SolutionFields(system.kappa, system.variant.tag, disc.k,
                           x[:, :nS].reshape(ne, 6, disc.nV),
                           x[:, nS:].reshape(ne, 3, disc.nW), uhat)
@@ -391,7 +386,8 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
     form='first':  the first-order system in the unscaled stress (load and
     traction data divided by -i*kappa accordingly).
     Trace rows of Dirichlet faces fix the projected Dirichlet datum. The
-    matrix is float64 for a real alpha with no impedance face, complex otherwise.
+    matrix and rhs take the problem's dtype, as in assemble_hybrid: float64
+    for a real alpha, no impedance face and real data, complex otherwise.
     Returns (matrix, rhs, layout) with layout = (nS, nW3, nFd, offsets...)."""
     mesh = disc.mesh
     kappa = data.kappa
@@ -414,9 +410,8 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
         data_scale, g_scale = 1.0, 1.0
         blocks = [[ops.A, ops.D.T, -ops.N.T],
                   [ops.D, kappa ** 2 * ops.M - alpha * ops.T11, alpha * ops.T12],
-                  [keep @ ops.N, keep @ (-alpha * ops.T12.T), keep @ (alpha * T22) + fix]]
-        if np.any(mesh.face_tags == BoundaryTag.IMPEDANCE):   # else real for a real alpha
-            blocks[2][2] = blocks[2][2] + sps.diags(imp)
+                  [keep @ ops.N, keep @ (-alpha * ops.T12.T),
+                   keep @ (alpha * T22) + fix + sps.diags(imp)]]
     else:
         data_scale = 1j / kappa
         g_scale = -data_scale
@@ -426,15 +421,15 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
     mat = sps.bmat(blocks, format="csr")
     mat.eliminate_zeros()
     ns, nu = ops.A.shape[0], ops.M.shape[0]
-    rhs = np.concatenate([np.zeros(ns, dtype=complex), data_scale * loads,
-                          g_scale * g + fixed.ravel()])
+    rhs = np.concatenate([np.zeros(ns), data_scale * loads, g_scale * g + fixed.ravel()])
+    mat = mat.astype(np.result_type(mat.dtype, rhs), copy=False)
     return mat, rhs, (nS, nW3, nFd, 0, ns, ns + nu, len(rhs))
 
 
 def solve_monolithic(disc, material, data, variant, form="second"):
     """Direct solve of the uncondensed system; returns SolutionFields.
 
-    A real matrix is factored once in float64, as the skeleton is.
+    The matrix is factored in the problem's dtype, as the skeleton is.
     Raises ValueError for a static pure-traction problem and
     SingularSystemError when the factor fails or the solve does not converge."""
     _check_solvable(disc.mesh, data.kappa)
@@ -447,7 +442,7 @@ def solve_monolithic(disc, material, data, variant, form="second"):
     mat, rhs, layout = assemble_monolithic(disc, material, data, variant, form)
     nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
     try:
-        x = _solve_lu(spla.splu(mat.tocsc()), mat, rhs)
+        x = spla.splu(mat.tocsc()).solve(rhs)
     except RuntimeError as exc:
         raise SingularSystemError(f"monolithic solve failed: {exc}") from exc
     residual = np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)

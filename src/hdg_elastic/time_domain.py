@@ -76,7 +76,7 @@ def initial_state(system, u0, v0):
     v = disc.project_w(elements, v0).ravel()
     if system.flux == "conservative":
         return TimeState(0.0, u, v)
-    m = disc.project_face(system.skeleton.active, u0).ravel().real
+    m = disc.project_face(system.skeleton.active, u0).ravel()
     return TimeState(0.0, u, v, m)
 
 
@@ -112,7 +112,8 @@ class SemidiscreteSystem:
                 N = b.N.reshape(len(b.element), b.nM, b.nS)
                 S.append(N @ np.linalg.solve(b.A, np.swapaxes(N, 1, 2)))
                 S[-1].reshape(len(b.element), -1)[:, ::b.nM + 1] += b.tau[:, None]
-            self._slave_lu = factor_skeleton(self.skeleton.matrix(np.concatenate(S)))
+            self._slave_lu = factor_skeleton(self.skeleton.matrix(np.concatenate(S)),
+                                             f"{flux} flux: static slaving")
         self._steps = {}
 
     # ---- slaved variables ----
@@ -183,12 +184,12 @@ class SemidiscreteSystem:
         K = self._stiffness(np.eye(self.nu))[0]
         return 0.5 * (K + K.T)
 
-    def _condense(self, kappa2, alpha):
-        """The hybrid system at (kappa2, alpha), condensed for every load: its
-        skeleton factor and, per element, the maps L_K of the load moments f_K
-        to the skeleton loads and X_K, Z_K to the displacement X_K m_K + Z_K f_K,
-        zero on Dirichlet traces. Raises SingularLocalSolverError as
-        condense_batch does."""
+    def _condense(self, kappa2, alpha, dt):
+        """The hybrid system at (kappa2, alpha) of step size dt, condensed for
+        every load: its skeleton factor and, per element, the maps L_K of the
+        load moments f_K to the skeleton loads and X_K, Z_K to the displacement
+        X_K m_K + Z_K f_K, zero on Dirichlet traces. Raises as condense_batch
+        and factor_skeleton do."""
         parts = []
         for b in self._blocks:
             eye = np.broadcast_to(np.eye(b.nW3), (len(b.element), b.nW3, b.nW3))
@@ -196,8 +197,8 @@ class SemidiscreteSystem:
             parts.append((S, L, X[:, b.nS:], Z[:, b.nS:]))
         S, L, X, Z = (np.concatenate(p) for p in zip(*parts))
         free = self.skeleton.free
-        return (factor_skeleton(self.skeleton.matrix(S)), L * free[:, :, None],
-                X * free[:, None, :], Z)
+        lu = factor_skeleton(self.skeleton.matrix(S), f"{self.flux} flux: step (dt={dt})")
+        return lu, L * free[:, :, None], X * free[:, None, :], Z
 
     def _solve(self, step, f, rhs):
         """Skeleton traces m and displacement u of a condensed step with load
@@ -211,7 +212,7 @@ class SemidiscreteSystem:
         """Condensed trapezoidal step: the hybrid system at (kappa^2, alpha) =
         (-1/h^2, -sign/h), h = dt/2."""
         h = 0.5 * dt
-        return self._condense(-1.0 / h ** 2, -self._sign / h)
+        return self._condense(-1.0 / h ** 2, -self._sign / h, dt)
 
     # ---- time stepping ----
 
@@ -233,7 +234,7 @@ class SemidiscreteSystem:
     def _newmark_step(self, state, dt):
         c = BETA * dt * dt
         if dt not in self._steps:
-            self._steps[dt] = self._condense(-1.0 / c, 1.0)
+            self._steps[dt] = self._condense(-1.0 / c, 1.0, dt)
         a0 = (state.a if state.a is not None
               else self._M_lu.solve(-self._stiffness(state.u)[0]))
         u_pred = state.u + dt * state.v + dt * dt * (0.5 - BETA) * a0

@@ -50,7 +50,7 @@ def _rate_windows_ok(eoc_u, eoc_sigma, k):
 
 def test_criterion_01_polynomial_exactness():
     t0 = time.monotonic()
-    rows, _ = run_experiment("polynomial", "first-order", 1, [2], timing=False)
+    rows, _ = run_experiment("polynomial", "first-order", 1, [2])
     elapsed = time.monotonic() - t0
     row = rows[0]
     ok = (row["rel_err_u"] <= 1e-9 and row["rel_err_sigma"] <= 1e-9
@@ -65,8 +65,7 @@ def test_criterion_01_polynomial_exactness():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_criterion_02_optimal_rates_first_order(k):
-    eoc_u, eoc_s, _ = _finest_pair_rates("varcoeff", "first-order", k,
-                                         timing=False)
+    eoc_u, eoc_s, _ = _finest_pair_rates("varcoeff", "first-order", k)
     ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, k)
     report(2, f"optimal rates, first-order variant (k={k})", ok_u and ok_s,
            f"EOC(u)={eoc_u:.2f} (target {k + 2}), "
@@ -75,7 +74,7 @@ def test_criterion_02_optimal_rates_first_order(k):
 
 
 def test_optimal_rates_first_order_k3():
-    rows, _ = run_experiment("varcoeff", "first-order", 3, [1, 2, 3], timing=False)
+    rows, _ = run_experiment("varcoeff", "first-order", 3, [1, 2, 3])
     eoc_u, eoc_s = float(rows[-1]["eoc_u"]), float(rows[-1]["eoc_sigma"])
     ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, 3)
     assert ok_u and ok_s, f"EOC(u)={eoc_u:.2f} (target 5), EOC(sigma)={eoc_s:.2f} (target 4)"
@@ -83,8 +82,7 @@ def test_optimal_rates_first_order_k3():
 
 @pytest.mark.parametrize("wave", ["pwave", "swave"])
 def test_criterion_03_plane_waves(wave):
-    eoc_u, eoc_s, rows = _finest_pair_rates(wave, "first-order", 1,
-                                            kappa=1.0, timing=False)
+    eoc_u, eoc_s, rows = _finest_pair_rates(wave, "first-order", 1, kappa=1.0)
     ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, 1)
     report(3, f"plane-wave rates ({wave}, k=1, all-Dirichlet)", ok_u and ok_s,
            f"EOC(u)={eoc_u:.2f} (target 3), EOC(sigma)={eoc_s:.2f} (target 2)")
@@ -93,8 +91,7 @@ def test_criterion_03_plane_waves(wave):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_criterion_04_conservative_rates(k):
-    eoc_u, eoc_s, _ = _finest_pair_rates("varcoeff", "second-order", k,
-                                         timing=False)
+    eoc_u, eoc_s, _ = _finest_pair_rates("varcoeff", "second-order", k)
     ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, k)
     report(4, f"conservative-variant rates (k={k})", ok_u and ok_s,
            f"EOC(u)={eoc_u:.2f} (target {k + 2}), "
@@ -226,8 +223,7 @@ def test_criterion_08_newmark_second_order_drift():
 
 
 def test_criterion_09_fixed_h_kappa_impedance():
-    rows, _ = run_experiment("hk-const", "first-order", 1, [1, 2, 3, 4],
-                             timing=False)
+    rows, _ = run_experiment("hk-const", "first-order", 1, [1, 2, 3, 4])
     rel_u = [row["rel_err_u"] for row in rows]
     rel_s = [row["rel_err_sigma"] for row in rows]
     bounded = (all(e <= 2.0 * rel_u[0] for e in rel_u)

@@ -1,7 +1,12 @@
-"""The conservative flux (alpha = 1) at real kappa without impedance faces
-runs in real arithmetic: float64 local solvers and skeleton matrix, complex
-data and solution. Checked against the monolithic solve and against the
-complex per-element LU reference (factorize_local, condense, recover)."""
+"""A problem takes one dtype, np.result_type(alpha, impedance term, data):
+the conservative flux (alpha = 1) at real kappa without impedance faces and
+with real data runs in real arithmetic from the data to the solution
+(float64 local solvers, skeleton matrix, right side and fields), and any
+complex datum makes the system and solution complex. Checked against the
+monolithic solve and against the complex per-element LU reference
+(factorize_local, condense, recover)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +18,8 @@ from hdg_elastic import (VARIANTS, Discretization, assemble_hybrid, assemble_mon
                          factorize_local, make_case, recover, solve_monolithic,
                          solve_time_harmonic, tag_boundary)
 from hdg_elastic.errors import problem_data_from_case
-from hdg_elastic.global_system import (SkeletonMap, boundary_data, load_moments,
-                                       solve_dirichlet_trace, trace_dofs)
+from hdg_elastic.global_system import (SkeletonMap, boundary_data, flux_residual,
+                                       load_moments, solve_dirichlet_trace, trace_dofs)
 
 CONSERVATIVE = VARIANTS["conservative"]
 
@@ -51,7 +56,7 @@ def per_element_solve(disc, material, data, variant):
     rhs = g - full @ fixed
     np.add.at(rhs, dofs, [load_map @ fe for (_, load_map), fe in zip(condensed, f)])
     active = SkeletonMap(mesh, nFd).dofs
-    m = fixed.copy()
+    m = fixed.astype(complex)   # the reference solves in complex arithmetic
     m[active] = spla.spsolve(full[active][:, active].tocsc(), rhs[active])
     m = m.reshape(mesh.num_faces, -1)
     parts = [recover(fact, m[mesh.element_faces[e]].ravel(), f[e])
@@ -61,10 +66,13 @@ def per_element_solve(disc, material, data, variant):
 
 
 def assert_matches_monolithic(disc, case, data, tol=1e-9):
+    """Returns the hybrid solution after comparing it with the monolithic one."""
     sol, _ = solve_time_harmonic(disc, case.material, data, CONSERVATIVE)
     ref = solve_monolithic(disc, case.material, data, CONSERVATIVE, form="second")
     for name in ("sigma", "u", "uhat"):
+        assert getattr(sol, name).dtype == getattr(ref, name).dtype, name
         assert rel(getattr(sol, name), getattr(ref, name)) < tol, name
+    return sol
 
 
 def test_conservative_system_is_real(mixed2):
@@ -72,7 +80,8 @@ def test_conservative_system_is_real(mixed2):
     system = assemble_hybrid(disc, case.material, data, CONSERVATIVE)
     assert system.matrix.dtype == np.float64
     assert system.solvers.dtype == np.float64
-    assert np.iscomplexobj(system.rhs) and np.iscomplexobj(system.interior)
+    assert system.rhs.dtype == system.interior.dtype == np.float64
+    assert system.dirichlet_values.dtype == np.float64
     first = assemble_hybrid(disc, case.material, data, VARIANTS["first_order"])
     assert first.matrix.dtype == first.solvers.dtype == np.complex128
 
@@ -84,23 +93,49 @@ def test_real_path_matches_monolithic(mixed2):
 def test_real_path_matches_complex_per_element_reference(mixed2):
     disc, case, data = mixed2
     sol, _ = solve_time_harmonic(disc, case.material, data, CONSERVATIVE)
-    assert sol.sigma.dtype == sol.u.dtype == sol.uhat.dtype == np.complex128
+    assert sol.sigma.dtype == sol.u.dtype == sol.uhat.dtype == np.float64
     sigma, u, uhat = per_element_solve(disc, case.material, data, CONSERVATIVE)
     assert rel(sol.sigma, sigma) < 1e-12
     assert rel(sol.u, u) < 1e-12
     assert rel(sol.uhat, uhat) < 1e-12
 
 
-def test_plane_wave_real_matrix_complex_data():
-    # a real skeleton matrix with a genuinely complex right side: the factor
-    # solves its real and imaginary parts as two columns
+def test_plane_wave_complex_data_make_the_system_complex():
+    # real alpha, no impedance face, genuinely complex data: the skeleton
+    # matrix, its right side and the solution are complex
     case = make_case("pwave", kappa=1.0)
     disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
     data = problem_data_from_case(case)
     system = assemble_hybrid(disc, case.material, data, CONSERVATIVE)
-    assert system.matrix.dtype == np.float64
+    assert system.matrix.dtype == system.rhs.dtype == np.complex128
+    assert system.solvers.dtype == np.float64
     assert np.abs(system.rhs.imag).max() > 0.1 * np.abs(system.rhs.real).max()
-    assert_matches_monolithic(disc, case, data)
+    sol = assert_matches_monolithic(disc, case, data)
+    assert sol.sigma.dtype == sol.u.dtype == sol.uhat.dtype == np.complex128
+
+
+@pytest.mark.parametrize("datum", ["f", "g_d", "g_n"])
+def test_one_complex_datum_makes_the_problem_complex(datum):
+    # the real varcoeff data with one datum made complex; the others stay real
+    case = make_case("varcoeff", kappa=1.3)
+    disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
+    data = problem_data_from_case(case)
+    real = getattr(data, datum)
+    data = replace(data, **{datum: lambda *args: (1 + 0.5j) * real(*args)})
+    system = assemble_hybrid(disc, case.material, data, CONSERVATIVE)
+    assert system.matrix.dtype == system.rhs.dtype == np.complex128
+    sol = assert_matches_monolithic(disc, case, data)
+    assert sol.sigma.dtype == sol.u.dtype == sol.uhat.dtype == np.complex128
+    assert np.abs(sol.u.imag).max() > 1e-3 * np.abs(sol.u.real).max()
+
+
+def test_real_data_keep_the_flux_residual_real(mixed2):
+    disc, case, data = mixed2
+    g, imp = boundary_data(disc, data)
+    assert g.dtype == imp.dtype == np.float64
+    sol, _ = solve_time_harmonic(disc, case.material, data, CONSERVATIVE)
+    assert sol.sigma.dtype == sol.u.dtype == sol.uhat.dtype == np.float64
+    assert flux_residual(disc, case.material, data, CONSERVATIVE, sol) < 1e-9
 
 
 def test_impedance_faces_make_the_matrix_complex():
@@ -114,16 +149,19 @@ def test_impedance_faces_make_the_matrix_complex():
 
 
 def test_conservative_monolithic_oracle_is_real():
-    # the uncondensed oracle is real where the hybrid system is; its float64
-    # factor solves the complex right side as two columns
-    case = make_case("pwave", kappa=1.0)
+    # the uncondensed oracle takes the dtype the hybrid system takes: float64
+    # for the real varcoeff data, complex for the plane wave's data
     disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
-    data = problem_data_from_case(case)
-    mat, rhs, _ = assemble_monolithic(disc, case.material, data, CONSERVATIVE)
-    assert mat.dtype == np.float64
-    x = spla.spsolve(mat.astype(np.complex128).tocsc(), rhs)
-    sol = solve_monolithic(disc, case.material, data, CONSERVATIVE)
-    assert rel(np.concatenate([sol.sigma.ravel(), sol.u.ravel(), sol.uhat.ravel()]), x) < 1e-12
+    for name, dtype in (("varcoeff", np.float64), ("pwave", np.complex128)):
+        case = make_case(name, kappa=1.0)
+        data = problem_data_from_case(case)
+        mat, rhs, _ = assemble_monolithic(disc, case.material, data, CONSERVATIVE)
+        assert mat.dtype == rhs.dtype == dtype
+        x = spla.spsolve(mat.tocsc(), rhs)
+        sol = solve_monolithic(disc, case.material, data, CONSERVATIVE)
+        fields = np.concatenate([sol.sigma.ravel(), sol.u.ravel(), sol.uhat.ravel()])
+        assert fields.dtype == dtype
+        assert rel(fields, x) < 1e-12
     for variant, form in ((VARIANTS["first_order"], "second"), (None, "first")):
         assert assemble_monolithic(disc, case.material, data, variant,
                                    form)[0].dtype == np.complex128

@@ -8,7 +8,7 @@ import pytest
 
 from hdg_elastic import time_domain
 from hdg_elastic import (FLUXES, VARIANTS, Discretization, SemidiscreteSystem,
-                         TimeState, assemble_monolithic, build_structured_cube,
+                         SingularSystemError, TimeState, assemble_monolithic, build_structured_cube,
                          isotropic, make_case, tag_boundary, variable_preset,
                          write_energy_trace)
 from hdg_elastic.global_system import ProblemData
@@ -363,3 +363,28 @@ def test_steps_factor_one_skeleton_matrix_per_dt(monkeypatch, flux):
     for dt in (0.02, 0.02, 0.03):
         state = system.step(state, dt)
     assert shapes == [(system.nm, system.nm)] * 2
+
+
+@pytest.mark.parametrize("flux", ["conservative", "dissipative"])
+def test_failed_skeleton_factor_raises_singular_system_error(monkeypatch, flux):
+    # a step factor that fails names the flux and dt; so does the static
+    # slaving factor of the conservative flux, which is made at construction
+    disc = Discretization(tag_boundary(build_structured_cube(1), "mixed"), 1)
+    system = SemidiscreteSystem(disc, variable_preset(), flux)
+    state = random_state(system, 16)
+
+    splu = time_domain.spla.splu
+
+    def singular(matrix, *args, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":   # the skeleton factors only
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(time_domain.spla, "splu", singular)
+    with pytest.raises(SingularSystemError,
+                       match=rf"{flux} flux: step \(dt=0\.02\) factor failed"):
+        system.step(state, 0.02)
+    if flux == "conservative":
+        with pytest.raises(SingularSystemError,
+                           match="conservative flux: static slaving factor failed"):
+            SemidiscreteSystem(disc, variable_preset(), flux)
