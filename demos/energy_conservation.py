@@ -109,10 +109,6 @@ def main():
     ctx = multiprocessing.get_context("spawn")
     for n, k in ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (3, 2)):
         for flux in FLUXES:
-            if flux == "accumulating" and n == 6:
-                # its energy overflows, and its indefinite skeleton matrix
-                # pivots off the diagonal: about 1 GB of LU fill
-                continue
             steps = 20 if flux == "accumulating" else 100
             with ctx.Pool(1) as pool:
                 r = pool.apply(transient_cost, (n, k, flux, 0.02, steps))

@@ -18,6 +18,11 @@ traces) and the first-order form in the unscaled stress - are block matrices
 over the same operators; as oracles they differ from the hybrid path in
 their uncondensed solve. The flux residual and the transient system
 (time_domain) use the same operators.
+
+Every hybrid and uncondensed system is factored by factor_skeleton, in a
+nested-dissection order with diagonal pivots: the skeleton in the face order
+of SkeletonMap, the uncondensed system element by element and then its
+traces in the same face order.
 """
 
 import json
@@ -38,6 +43,12 @@ from .local_ops import assemble_local_blocks, condense, factorize_local, recover
 from .mesh import BoundaryTag, dissection_order
 
 _RESIDUAL_TOL = 1e-8
+# SuperLU's diagonal pivot threshold in factor_skeleton. At its default 1.0,
+# 2% of the rows of the n=4 k=2 first-order skeleton matrix pivot off the
+# diagonal. At 1e-2 the n=2 k=2 varcoeff monolithic factor still does (11.8 M
+# fill against 1.36 M), and at 1e-3 the accumulating flux's n=5 k=1 step
+# (5.27 M against 4.40 M).
+_DIAG_PIVOT_THRESH = 1e-4
 
 
 class SingularSystemError(RuntimeError):
@@ -117,15 +128,23 @@ class SkeletonMap:
                         (self.ndof, self.ndof), sps.csc_matrix)
 
 
-def factor_skeleton(matrix, name="skeleton"):
-    """Sparse LU of a skeleton matrix as it is numbered, in the nested-dissection
-    face order of its SkeletonMap. The pattern is symmetric: SymmetricMode
-    prefers diagonal pivots, keeping the order. A failed factor raises
-    SingularSystemError, naming the system."""
+def factor_skeleton(matrix, name="skeleton factor"):
+    """Sparse LU of a matrix as it is numbered: a skeleton matrix in the
+    nested-dissection face order of its SkeletonMap, or the uncondensed
+    system in the order of _solve_uncondensed.
+
+    SymmetricMode with the pivot threshold _DIAG_PIVOT_THRESH takes the
+    diagonal entry as pivot unless it is smaller than that fraction of the
+    largest entry left in its column, so the factor keeps the order and its
+    fill is the order's, also for an indefinite matrix. A failed factor
+    raises SingularSystemError, naming what failed. An exactly singular
+    matrix may instead factor with a tiny pivot; the callers' residual
+    checks refuse its solution."""
     try:
-        return spla.splu(matrix, permc_spec="NATURAL", options=dict(SymmetricMode=True))
+        return spla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                         options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise SingularSystemError(f"{name} factor failed: {exc}") from exc
+        raise SingularSystemError(f"{name} failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -426,35 +445,59 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
     return mat, rhs, (nS, nW3, nFd, 0, ns, ns + nu, len(rhs))
 
 
-def solve_monolithic(disc, material, data, variant, form="second"):
-    """Direct solve of the uncondensed system; returns SolutionFields.
+def _solve_uncondensed(mesh, mat, rhs, layout):
+    """Solve the uncondensed system mat x = rhs of assemble_monolithic through
+    factor_skeleton, in this order: the stress and displacement dofs as laid
+    out (block-diagonal per element, so no fill leaves an element), then the
+    trace dofs face by face in mesh.dissection_order. The order changes the
+    cost of the factor, never the solution.
 
-    The matrix is factored in the problem's dtype, as the skeleton is.
+    Returns x in the layout's numbering and {factor_s, lu_fill}. Raises
+    SingularSystemError when the factor fails or the relative residual
+    exceeds _RESIDUAL_TOL."""
+    nFd, off_m = layout[2], layout[5]
+    faces = dissection_order(mesh)
+    order = np.concatenate([np.arange(off_m),
+                            off_m + (faces[:, None] * nFd + np.arange(nFd)).ravel()])
+    assert np.array_equal(np.sort(order), np.arange(len(rhs))), "order is no permutation"
+    t0 = time.perf_counter()
+    lu = factor_skeleton(mat[order][:, order].tocsc(), "monolithic solve")
+    factor_s = time.perf_counter() - t0
+    x = np.empty(len(rhs), mat.dtype)
+    x[order] = lu.solve(rhs[order])
+    residual = np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
+        raise SingularSystemError(
+            f"monolithic solve did not converge (relative residual {residual:.3e})")
+    return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz)}
+
+
+def solve_monolithic(disc, material, data, variant, form="second"):
+    """Direct solve of the uncondensed system; returns SolutionFields whose
+    meta holds the factor time (factor_s) and the LU fill (lu_fill).
+
+    The matrix is factored in the problem's dtype by factor_skeleton, element
+    by element and then face by face in the nested-dissection order
+    (_solve_uncondensed).
     Raises ValueError for a static pure-traction problem and
     SingularSystemError when the factor fails or the solve does not converge."""
     _check_solvable(disc.mesh, data.kappa)
     if form == "second" and data.kappa == 0 and variant.alpha(data.kappa) == 0:
         # kappa^2 M - alpha T11 = 0: u is tested only against div V_K in
         # P_{k-1}, so the rest of W_K is in the kernel. The factor is not
-        # attempted: SuperLU's COLAMD factor of it corrupts the heap.
+        # attempted: it would finish on a pivot of about 4e-45, which only
+        # the residual check refuses.
         raise SingularSystemError(f"monolithic system is singular: flux variant "
                                   f"{variant.tag!r} has alpha = 0 at kappa = 0")
     mat, rhs, layout = assemble_monolithic(disc, material, data, variant, form)
     nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
-    try:
-        x = spla.splu(mat.tocsc()).solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"monolithic solve failed: {exc}") from exc
-    residual = np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"monolithic solve did not converge (relative residual {residual:.3e})")
+    x, meta = _solve_uncondensed(disc.mesh, mat, rhs, layout)
     ne = disc.mesh.num_elements
     sigma = x[off_s:off_s + ne * nS].reshape(ne, 6, disc.nV)
     u = x[off_u:off_u + ne * nW3].reshape(ne, 3, disc.nW)
     uhat = x[off_m:].reshape(disc.mesh.num_faces, 3, disc.nF)
     tag = "first_order_unscaled" if form == "first" else variant.tag
-    return SolutionFields(data.kappa, tag, disc.k, sigma, u, uhat)
+    return SolutionFields(data.kappa, tag, disc.k, sigma, u, uhat, meta)
 
 
 # ---- transmission residual and export ----

@@ -113,7 +113,7 @@ class SemidiscreteSystem:
                 S.append(N @ np.linalg.solve(b.A, np.swapaxes(N, 1, 2)))
                 S[-1].reshape(len(b.element), -1)[:, ::b.nM + 1] += b.tau[:, None]
             self._slave_lu = factor_skeleton(self.skeleton.matrix(np.concatenate(S)),
-                                             f"{flux} flux: static slaving")
+                                             f"{flux} flux: static slaving factor")
         self._steps = {}
 
     # ---- slaved variables ----
@@ -197,7 +197,7 @@ class SemidiscreteSystem:
             parts.append((S, L, X[:, b.nS:], Z[:, b.nS:]))
         S, L, X, Z = (np.concatenate(p) for p in zip(*parts))
         free = self.skeleton.free
-        lu = factor_skeleton(self.skeleton.matrix(S), f"{self.flux} flux: step (dt={dt})")
+        lu = factor_skeleton(self.skeleton.matrix(S), f"{self.flux} flux: step (dt={dt}) factor")
         return lu, L * free[:, :, None], X * free[:, None, :], Z
 
     def _solve(self, step, f, rhs):

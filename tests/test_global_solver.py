@@ -1,10 +1,15 @@
 """Skeleton system assembly/solve, monolithic oracles, reconstruction."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 from scipy.linalg import block_diag
 
 from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
@@ -20,6 +25,8 @@ from hdg_elastic.local_ops import (assemble_local_blocks, block_bytes, condense_
                                    element_batches, element_block_batches,
                                    element_blocks)
 from hdg_elastic.mesh import dissection_order
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -332,13 +339,66 @@ def test_singular_monolithic_system_is_reported(tag):
 
 
 def test_monolithic_factor_failure_is_reported(poly_setup, monkeypatch):
-    def singular_factor(matrix):
+    def singular_factor(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     disc, case, data = poly_setup
     monkeypatch.setattr(global_system.spla, "splu", singular_factor)
     with pytest.raises(SingularSystemError, match="monolithic solve failed"):
         solve_monolithic(disc, case.material, data, VARIANTS["conservative"])
+
+
+def test_monolithic_factor_reports_less_fill_than_colamd():
+    # the oracle's factor, in its element-then-dissection order, against
+    # COLAMD with partial pivoting on the same matrix
+    case = make_case("polynomial", kappa=1.0, k=2)
+    disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 2)
+    data = problem_data_from_case(case)
+    variant = VARIANTS["conservative"]
+    sol = solve_monolithic(disc, case.material, data, variant)
+    mat, rhs, layout = global_system.assemble_monolithic(disc, case.material, data, variant)
+    colamd = spla.splu(mat.tocsc(), permc_spec="COLAMD")
+    x = colamd.solve(rhs)
+    assert isinstance(sol.meta["factor_s"], float)
+    assert sol.meta["lu_fill"] < colamd.nnz
+    nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
+    for field, ref in ((sol.sigma, x[off_s:off_u]), (sol.u, x[off_u:off_m]),
+                       (sol.uhat, x[off_m:])):
+        assert np.abs(field.ravel() - ref).max() < 1e-10 * np.abs(ref).max()
+
+
+# factors and solves the exactly singular kappa = 0 first_order matrix
+# through the oracle's factor path, bypassing solve_monolithic's pre-check
+SINGULAR_SCRIPT = r"""
+from hdg_elastic import (VARIANTS, Discretization, SingularSystemError,
+                         build_structured_cube, make_case, tag_boundary)
+from hdg_elastic import global_system
+from hdg_elastic.errors import problem_data_from_case
+
+case = make_case("polynomial", kappa=0.0, k=1)
+disc = Discretization(tag_boundary(build_structured_cube(1), "mixed"), 1)
+system = global_system.assemble_monolithic(
+    disc, case.material, problem_data_from_case(case), VARIANTS["first_order"])
+refused = 0
+for _ in range(50):
+    try:
+        global_system._solve_uncondensed(disc.mesh, *system)
+    except SingularSystemError:
+        refused += 1
+print(refused)
+"""
+
+
+def test_singular_monolithic_factor_is_refused_without_crashing():
+    # SuperLU's COLAMD factor of this matrix corrupted the heap within a few
+    # calls; the diagonal-pivot factor finishes on a tiny pivot and the
+    # residual check refuses every solve, in a process that exits cleanly
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SINGULAR_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["50"]
 
 
 def test_skeleton_map_follows_dissection_order():

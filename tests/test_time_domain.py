@@ -365,6 +365,18 @@ def test_steps_factor_one_skeleton_matrix_per_dt(monkeypatch, flux):
     assert shapes == [(system.nm, system.nm)] * 2
 
 
+def test_accumulating_step_fills_as_the_dissipative_step():
+    # alpha = -sign/h makes the accumulating step matrix indefinite; with
+    # diagonal pivots its factor keeps the dissection order and its fill
+    disc = Discretization(tag_boundary(build_structured_cube(2), "all-dirichlet"), 1)
+    fill = {}
+    for flux in ("accumulating", "dissipative"):
+        system = SemidiscreteSystem(disc, variable_preset(), flux)
+        system.step(random_state(system, 17), 0.02)
+        fill[flux] = system._steps[0.02][0].nnz
+    assert fill["accumulating"] == fill["dissipative"]
+
+
 @pytest.mark.parametrize("flux", ["conservative", "dissipative"])
 def test_failed_skeleton_factor_raises_singular_system_error(monkeypatch, flux):
     # a step factor that fails names the flux and dt; so does the static
