@@ -14,9 +14,8 @@ from .local_ops import (CONSERVATIVE, FIRST_ORDER, KAPPA_SCALED, TIME_REVERSED,
                         VARIANTS, FluxVariant, LocalBlocks,
                         SingularLocalSolverError, assemble_local_blocks,
                         condense, factorize_local, local_matrix, recover)
-from .materials import (FROBENIUS_WEIGHTS, SYM_COMPONENTS, SYM_MATS, Material,
-                        apply_compliance, apply_stiffness, isotropic, pack_sym,
-                        unpack_sym, variable_preset)
+from .materials import (FROBENIUS_WEIGHTS, SYM_COMPONENTS, SYM_MATS, Jet, Material,
+                        isotropic, pack_sym, unpack_sym, variable_preset)
 from .mesh import (BoundaryTag, Mesh, build_structured_cube, load_mesh,
                    outward_normal, save_mesh, tag_boundary)
 from .quadrature import QuadratureRule, simplex_rule

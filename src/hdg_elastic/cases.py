@@ -1,11 +1,14 @@
 """Manufactured exact solutions and their derived data.
 
-Each case fixes a displacement field u, a material and a frequency. Every
-field is a sympy expression: the stress sigma = 2 mu eps(u) + lam div(u) I
-and the load f = div(sigma) + kappa^2 rho u are derived symbolically from u
-and the material's expressions, and u, sigma and f are lambdified by the one
-helper materials.lambdify_field, so the data satisfy the governing equations
-exactly. Boundary data are traces of the exact fields: g_d = u, g_n = sigma n,
+Each case fixes a displacement field u, a material and a frequency. u is a
+coordinate function of (x1, x2, x3), like the material's fields, written with
+the cos, sin and exp of materials.py. The stress
+sigma = mu (grad u + grad u^T) + lam div(u) I and the load
+f = div(sigma) + kappa^2 rho u are formed from the partial derivatives that
+materials.Jet carries through those functions: first partials of u for
+sigma, second partials of u and first partials of lam and mu for f. They are
+exact up to roundoff, so the data satisfy the governing equations. Boundary
+data are traces of the exact fields: g_d = u, g_n = sigma n,
 g_r = sigma n + i kappa u. The impedance sign is the one that matches the
 first-order flux (alpha = i kappa): the impedance and stabilization terms then
 enter the imaginary part of the discrete energy identity with the same sign.
@@ -14,11 +17,9 @@ enter the imaginary part of the discrete energy identity with the same sign.
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .materials import X1, X2, X3, isotropic, lambdify_field, variable_preset
+from .materials import Jet, cos, exp, isotropic, sin, variable_preset
 
-_XS = (X1, X2, X3)
 _UNIT_TOL = 1e-12
 
 
@@ -48,23 +49,60 @@ class ExactCase:
         return (1j / self.kappa) * self.sigma(x)
 
 
-def _build_case(tag, u_exprs, material, kappa, params):
-    lam, mu, rho = material.lam_expr, material.mu_expr, material.rho_expr
-    grad = [[sp.diff(u_exprs[i], _XS[j]) for j in range(3)] for i in range(3)]
-    div_u = sum(grad[i][i] for i in range(3))
-    sigma = [[mu * (grad[i][j] + grad[j][i]) + (lam * div_u if i == j else 0)
-              for j in range(3)] for i in range(3)]
-    f = [sum(sp.diff(sigma[i][j], _XS[j]) for j in range(3)) + kappa ** 2 * rho * u_exprs[i]
-         for i in range(3)]
-    return ExactCase(tag, float(kappa), material, lambdify_field(u_exprs),
-                     lambdify_field(sigma), lambdify_field(f), params)
+def _lift(value):
+    return value if isinstance(value, Jet) else Jet(value, {}, {})
+
+
+def _stress(grad, lam, mu):
+    """sigma = mu (grad u + grad u^T) + lam div(u) I from grad[i][j] = d_j u_i."""
+    div = grad[0][0] + grad[1][1] + grad[2][2]
+    return [[mu * (grad[i][j] + grad[j][i]) + (lam * div if i == j else 0)
+             for j in range(3)] for i in range(3)]
+
+
+def _stack(components, batch):
+    """A sequence of 3 or a 3x3 nested list of component values at a batch of
+    points -> one array of shape batch + (3,) or batch + (3, 3), a constant
+    component broadcast, real values as floats."""
+    nested = isinstance(components[0], list)
+    cols = [np.broadcast_to(c, batch)
+            for c in ([c for row in components for c in row] if nested else components)]
+    return np.stack(cols, axis=-1, dtype=np.result_type(float, *cols)).reshape(
+        batch + ((3, 3) if nested else (3,)))
+
+
+def _build_case(tag, u_fn, material, kappa, params):
+    def u(x):
+        x = np.asarray(x)
+        return _stack(u_fn(*np.moveaxis(x, -1, 0)), x.shape[:-1])
+
+    def sigma(x):
+        x = np.asarray(x)
+        grad = [[c.d1.get(j, 0.0) for j in range(3)]
+                for c in map(_lift, u_fn(*Jet.coordinates(x, 1)))]
+        return _stack(_stress(grad, material.lam(x), material.mu(x)), x.shape[:-1])
+
+    def f(x):
+        x = np.asarray(x)
+        coords = Jet.coordinates(x, 1)
+        uj = [_lift(c) for c in u_fn(*Jet.coordinates(x, 2))]
+        s = _stress([[c.partial(j) for j in range(3)] for c in uj],
+                    material.lam_fn(*coords), material.mu_fn(*coords))
+        rho = material.rho(x)
+        return _stack([sum(s[i][j].d1.get(j, 0.0) for j in range(3))
+                       + kappa ** 2 * rho * uj[i].val for i in range(3)], x.shape[:-1])
+
+    return ExactCase(tag, float(kappa), material, u, sigma, f, params)
+
+
+def _varcoeff_u(x1, x2, x3):
+    return (cos(np.pi * x1) * sin(np.pi * x2) * cos(np.pi * x3),
+            5 * x1 ** 2 * x2 * x3 + 4 * x1 * x2 * x3 + 3 * x1 * x2 * x3 ** 2 + 17,
+            cos(2 * x2) * cos(3 * x2) * cos(x3))
 
 
 def _varcoeff_case(kappa):
-    u = (sp.cos(sp.pi * X1) * sp.sin(sp.pi * X2) * sp.cos(sp.pi * X3),
-         5 * X1 ** 2 * X2 * X3 + 4 * X1 * X2 * X3 + 3 * X1 * X2 * X3 ** 2 + 17,
-         sp.cos(2 * X2) * sp.cos(3 * X2) * sp.cos(X3))
-    return _build_case("varcoeff", u, variable_preset(), kappa, {})
+    return _build_case("varcoeff", _varcoeff_u, variable_preset(), kappa, {})
 
 
 def _plane_wave_case(tag, kappa, direction, polarization, amplitude):
@@ -82,11 +120,14 @@ def _plane_wave_case(tag, kappa, direction, polarization, amplitude):
         if abs(np.dot(d, e)) > 1e-9:
             raise ValueError("shear wave requires polarization orthogonal to direction")
         c = float(cs)
-    phase = sp.exp(-sp.I * sp.Float(kappa / c) * (d[0] * X1 + d[1] * X2 + d[2] * X3))
-    u = tuple(sp.Float(amplitude) * sp.Float(e[i]) * phase for i in range(3))
+
+    def u_fn(x1, x2, x3):
+        phase = exp(-1j * (kappa / c) * (d[0] * x1 + d[1] * x2 + d[2] * x3))
+        return tuple(amplitude * e[i] * phase for i in range(3))
+
     params = {"direction": d.tolist(), "polarization": e.tolist(),
               "amplitude": amplitude, "speed": c}
-    return _build_case(tag, u, material, kappa, params)
+    return _build_case(tag, u_fn, material, kappa, params)
 
 
 def _polynomial_case(kappa, k, seed):
@@ -95,12 +136,13 @@ def _polynomial_case(kappa, k, seed):
     exps = [(a, b, c)
             for a in range(k + 2) for b in range(k + 2) for c in range(k + 2)
             if a + b + c <= k + 1]
-    u = []
-    for _ in range(3):
-        coeffs = rng.uniform(-1.0, 1.0, size=len(exps))
-        u.append(sum(sp.Float(cc) * X1 ** a * X2 ** b * X3 ** c
-                     for cc, (a, b, c) in zip(coeffs, exps)))
-    return _build_case("polynomial", tuple(u), material, kappa,
+    coeffs = [rng.uniform(-1.0, 1.0, size=len(exps)) for _ in range(3)]
+
+    def u_fn(x1, x2, x3):
+        monomials = [x1 ** a * x2 ** b * x3 ** c for a, b, c in exps]
+        return tuple(sum(cc * m for cc, m in zip(row, monomials)) for row in coeffs)
+
+    return _build_case("polynomial", u_fn, material, kappa,
                        {"degree": k + 1, "seed": seed})
 
 
