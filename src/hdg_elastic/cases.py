@@ -3,11 +3,12 @@
 Each case fixes a displacement field u, a material and a frequency. u is a
 coordinate function of (x1, x2, x3), like the material's fields, written with
 the cos, sin and exp of materials.py. The stress
-sigma = mu (grad u + grad u^T) + lam div(u) I and the load
-f = div(sigma) + kappa^2 rho u are formed from the partial derivatives that
-materials.Jet carries through those functions: first partials of u for
-sigma, second partials of u and first partials of lam and mu for f. They are
-exact up to roundoff, so the data satisfy the governing equations. Boundary
+sigma = mu (grad u + grad u^T) + lam div(u) I is written once, as a function
+of coordinates that seeds u one materials.Jet level above them and takes
+grad u from its partials. On arrays it gives sigma; on seeded coordinates it
+gives sigma as jets, and the load f = div(sigma) + kappa^2 rho u is read from
+their partials. Both are exact up to roundoff, so the data satisfy the
+governing equations. Boundary
 data are traces of the exact fields: g_d = u, g_n = sigma n,
 g_r = sigma n + i kappa u. The impedance sign is the one that matches the
 first-order flux (alpha = i kappa): the impedance and stabilization terms then
@@ -50,14 +51,7 @@ class ExactCase:
 
 
 def _lift(value):
-    return value if isinstance(value, Jet) else Jet(value, {}, {})
-
-
-def _stress(grad, lam, mu):
-    """sigma = mu (grad u + grad u^T) + lam div(u) I from grad[i][j] = d_j u_i."""
-    div = grad[0][0] + grad[1][1] + grad[2][2]
-    return [[mu * (grad[i][j] + grad[j][i]) + (lam * div if i == j else 0)
-             for j in range(3)] for i in range(3)]
+    return value if isinstance(value, Jet) else Jet(value, {})
 
 
 def _stack(components, batch):
@@ -72,25 +66,30 @@ def _stack(components, batch):
 
 
 def _build_case(tag, u_fn, material, kappa, params):
+    def fields(xs):
+        """u and sigma = mu (grad u + grad u^T) + lam div(u) I at the
+        coordinates xs (arrays, or jets), with u seeded one level above them."""
+        u = [_lift(c) for c in u_fn(*Jet.seed(xs))]
+        grad = [[c.d1.get(j, 0.0) for j in range(3)] for c in u]
+        div = grad[0][0] + grad[1][1] + grad[2][2]
+        lam, mu = material.lam_fn(*xs), material.mu_fn(*xs)
+        return [c.val for c in u], [[mu * (grad[i][j] + grad[j][i]) + (lam * div if i == j else 0)
+                                     for j in range(3)] for i in range(3)]
+
     def u(x):
         x = np.asarray(x)
         return _stack(u_fn(*np.moveaxis(x, -1, 0)), x.shape[:-1])
 
     def sigma(x):
         x = np.asarray(x)
-        grad = [[c.d1.get(j, 0.0) for j in range(3)]
-                for c in map(_lift, u_fn(*Jet.coordinates(x, 1)))]
-        return _stack(_stress(grad, material.lam(x), material.mu(x)), x.shape[:-1])
+        return _stack(fields(np.moveaxis(x, -1, 0))[1], x.shape[:-1])
 
     def f(x):
         x = np.asarray(x)
-        coords = Jet.coordinates(x, 1)
-        uj = [_lift(c) for c in u_fn(*Jet.coordinates(x, 2))]
-        s = _stress([[c.partial(j) for j in range(3)] for c in uj],
-                    material.lam_fn(*coords), material.mu_fn(*coords))
+        uj, s = fields(Jet.seed(np.moveaxis(x, -1, 0)))
         rho = material.rho(x)
-        return _stack([sum(s[i][j].d1.get(j, 0.0) for j in range(3))
-                       + kappa ** 2 * rho * uj[i].val for i in range(3)], x.shape[:-1])
+        return _stack([sum(_lift(s[i][j]).d1.get(j, 0.0) for j in range(3))
+                       + kappa ** 2 * rho * _lift(uj[i]).val for i in range(3)], x.shape[:-1])
 
     return ExactCase(tag, float(kappa), material, u, sigma, f, params)
 

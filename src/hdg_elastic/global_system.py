@@ -130,8 +130,9 @@ class SkeletonMap:
 
 def factor_skeleton(matrix, name="skeleton factor"):
     """Sparse LU of a matrix as it is numbered: a skeleton matrix in the
-    nested-dissection face order of its SkeletonMap, or the uncondensed
-    system in the order of _solve_uncondensed.
+    nested-dissection face order of its SkeletonMap, the uncondensed system
+    in the order of _solve_uncondensed, or a mass matrix block-diagonal per
+    element, whose natural order adds no fill.
 
     SymmetricMode with the pivot threshold _DIAG_PIVOT_THRESH takes the
     diagonal entry as pivot unless it is smaller than that fraction of the
@@ -273,7 +274,9 @@ def assemble_hybrid(disc, material, data, variant):
     skel = SkeletonMap(mesh, nFd)
     dir_values = solve_dirichlet_trace(disc, data.g_d)
     g, imp = boundary_data(disc, data)
-    f = load_moments(disc, np.arange(ne), data.f)
+    # f is called on one element batch at a time, so its points fit the batch memory
+    batches = element_batches(ne, block_bytes(disc))
+    f = np.concatenate([load_moments(disc, batch, data.f) for batch in batches])
     dtype = np.result_type(alpha, imp, f, dir_values, g)
     S = np.empty((ne, nM, nM), dtype)
     loads = np.empty((ne, nM), dtype)
@@ -282,7 +285,7 @@ def assemble_hybrid(disc, material, data, variant):
     cond = np.empty(ne)
     flags = np.empty(ne, dtype=bool)
     condense_s = 0.0
-    for batch in element_batches(ne, block_bytes(disc)):
+    for batch in batches:
         blocks = element_blocks(disc, material, batch)
         t0 = time.perf_counter()
         S[batch], loads[batch], X[batch], z[batch], cond[batch] = \
@@ -424,7 +427,8 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
     is_fixed = np.repeat(mesh.face_tags == BoundaryTag.DIRICHLET, nFd)
     keep, fix = sps.diags((~is_fixed).astype(float)), sps.diags(is_fixed.astype(float))
     T22 = sps.diags(ops.t22)
-    loads = load_moments(disc, np.arange(mesh.num_elements), data.f).ravel()
+    batches = element_batches(mesh.num_elements, block_bytes(disc))
+    loads = np.concatenate([load_moments(disc, batch, data.f) for batch in batches]).ravel()
     if form == "second":
         data_scale, g_scale = 1.0, 1.0
         blocks = [[ops.A, ops.D.T, -ops.N.T],

@@ -5,13 +5,15 @@ Symmetric 3x3 tensors are packed as 6-vectors of matrix entries in the order
 Frobenius pairing carries an explicit factor 2 on the off-diagonal slots.
 
 A material field is a coordinate function of (x1, x2, x3) written with
-ordinary arithmetic and this module's cos, sin and exp. Called on arrays it
-gives the field's values; called on Jet coordinates it gives the values with
-their first and second partial derivatives, exactly as the chain rule of each
-operation carries them (forward-mode differentiation, Griewank & Walther,
-Evaluating Derivatives, SIAM 2008). cases.py derives the manufactured stress
-and load from these partials, so the solver evaluates the same functions from
-which the data are derived.
+ordinary arithmetic (+ - * /, integer powers) and this module's cos, sin and
+exp. Called on arrays it gives the field's values; called on Jet coordinates
+it gives the values with their first partial derivatives, exactly as the
+chain rule of each operation carries them (forward-mode differentiation,
+Griewank & Walther, Evaluating Derivatives, SIAM 2008). Coordinates seeded
+twice give jets whose values and partials are jets, and so the second
+partials (Siskind & Pearlmutter, HOSC 21, 2008). cases.py derives the
+manufactured stress and load from these partials, so the solver evaluates
+the same functions from which the data are derived.
 """
 
 from dataclasses import dataclass
@@ -47,62 +49,43 @@ def unpack_sym(packed):
     return np.einsum("...c,cij->...ij", packed, SYM_MATS.astype(packed.dtype, copy=False))
 
 
-def _add_into(terms, key, value):
-    terms[key] = terms[key] + value if key in terms else value
-
-
 def _merged(a, b):
     """The sum of two sparse partial dicts."""
     out = dict(a)
     for key, value in b.items():
-        _add_into(out, key, value)
+        out[key] = out[key] + value if key in out else value
     return out
 
 
 class Jet:
-    """A scalar field and its partial derivatives in x1, x2, x3 at a batch of
-    points: the value val, the first partials d1 {axis: array} and the second
-    partials d2 {(i, j), i <= j: array}, or d2 = None for a jet truncated after
-    the first order. Absent entries are exact zeros; every operation keeps
-    them absent, so a field that does not depend on x3 carries no x3 entry.
-    Entries broadcast against val and are never modified in place."""
-    __slots__ = ("val", "d1", "d2")
+    """A scalar field and its first partial derivatives in x1, x2, x3 at a
+    batch of points: the value val and the partials d1 {axis: entry}. Absent
+    entries are exact zeros; every operation keeps them absent, so a field
+    that does not depend on x3 carries no x3 entry. Entries broadcast against
+    val and are never modified in place.
+
+    val and the entries may themselves be jets one level down, seeded in the
+    same coordinates: then the x_j-partial of d1[i] is the second partial
+    d_i d_j of the field. Jets of different levels are never combined."""
+    __slots__ = ("val", "d1")
     __array_ufunc__ = None       # numpy operands defer to the reflected operators
 
-    def __init__(self, val, d1, d2=None):
-        self.val, self.d1, self.d2 = val, d1, d2
+    def __init__(self, val, d1):
+        self.val, self.d1 = val, d1
 
     @classmethod
-    def coordinates(cls, x, order):
-        """The jets of x1, x2, x3 at points x (..., 3), of order 1 or 2."""
-        x = np.asarray(x)
-        return tuple(cls(x[..., a], {a: 1.0}, {} if order == 2 else None) for a in range(3))
+    def seed(cls, xs):
+        """The coordinates xs (three arrays, or three jets) lifted one level."""
+        return tuple(cls(x, {a: 1.0}) for a, x in enumerate(xs))
 
-    def partial(self, axis):
-        """The first-order jet of the partial derivative along axis."""
-        d1 = {}
-        for (i, j), v in self.d2.items():
-            if axis in (i, j):
-                d1[j if i == axis else i] = v
-        return Jet(self.d1.get(axis, 0.0), d1)
-
-    def _chain(self, f0, f1, f2):
-        """g(self) from g, g' and g'' evaluated at self.val."""
-        d1 = {i: f1 * a for i, a in self.d1.items()}
-        d2 = None
-        if self.d2 is not None:
-            d2 = {ij: f1 * a for ij, a in self.d2.items()}
-            for i, a in self.d1.items():
-                for j, b in self.d1.items():
-                    if i <= j:
-                        _add_into(d2, (i, j), f2 * a * b)
-        return Jet(f0, d1, d2)
+    def _chain(self, f0, f1):
+        """g(self) from g and g' evaluated at self.val."""
+        return Jet(f0, {i: f1 * a for i, a in self.d1.items()})
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.val + other, self.d1, self.d2)
-        d2 = None if self.d2 is None or other.d2 is None else _merged(self.d2, other.d2)
-        return Jet(self.val + other.val, _merged(self.d1, other.d1), d2)
+            return Jet(self.val + other, self.d1)
+        return Jet(self.val + other.val, _merged(self.d1, other.d1))
 
     __radd__ = __add__
 
@@ -117,22 +100,18 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.val * other, {i: a * other for i, a in self.d1.items()},
-                       None if self.d2 is None
-                       else {ij: a * other for ij, a in self.d2.items()})
-        a, b = self, other
-        d1 = _merged({i: v * b.val for i, v in a.d1.items()},
-                     {i: a.val * v for i, v in b.d1.items()})
-        d2 = None
-        if a.d2 is not None and b.d2 is not None:
-            d2 = _merged({ij: v * b.val for ij, v in a.d2.items()},
-                         {ij: a.val * v for ij, v in b.d2.items()})
-            for i, ai in a.d1.items():
-                for j, bj in b.d1.items():
-                    _add_into(d2, (min(i, j), max(i, j)), (2 if i == j else 1) * ai * bj)
-        return Jet(a.val * b.val, d1, d2)
+            return Jet(self.val * other, {i: a * other for i, a in self.d1.items()})
+        return Jet(self.val * other.val,
+                   _merged({i: a * other.val for i, a in self.d1.items()},
+                           {i: self.val * b for i, b in other.d1.items()}))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * other ** -1
+
+    def __rtruediv__(self, other):
+        return other * self ** -1
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -141,29 +120,26 @@ class Jet:
             return 1.0
         if n == 1:
             return self
-        v = self.val
-        return self._chain(v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+        return self._chain(self.val ** n, n * self.val ** (n - 1))
 
 
 # cos, sin and exp of a number, an array or a Jet, for coordinate functions
 def cos(x):
     if isinstance(x, Jet):
-        c = np.cos(x.val)
-        return x._chain(c, -np.sin(x.val), -c)
+        return x._chain(cos(x.val), -sin(x.val))
     return np.cos(x)
 
 
 def sin(x):
     if isinstance(x, Jet):
-        s = np.sin(x.val)
-        return x._chain(s, np.cos(x.val), -s)
+        return x._chain(sin(x.val), cos(x.val))
     return np.sin(x)
 
 
 def exp(x):
     if isinstance(x, Jet):
-        e = np.exp(x.val)
-        return x._chain(e, e, e)
+        e = exp(x.val)
+        return x._chain(e, e)
     return np.exp(x)
 
 

@@ -34,9 +34,9 @@ onto the skeleton traces by local_ops.condense_batch:
 The slaved (s, m) of the conservative flux solve the static skeleton system
   sum_K (N_K A_K^-1 N_K^T + tau_K I) m = (N A^-1 D^T + T12^T) u,
   s = A^-1 (N^T m - D^T u).
-Each skeleton matrix is factored once per step size, as solve_skeleton
-factors; a step is one batched element load, one skeleton solve and one
-batched displacement recovery.
+Each skeleton matrix is factored once per step size, and M and A once, all
+by factor_skeleton; a step is one batched element load, one skeleton solve
+and one batched displacement recovery.
 
 The real blocks are the global operators of the frequency-domain solver
 (global_system.global_operators), restricted to the trace dofs of the
@@ -48,7 +48,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .global_system import SkeletonMap, factor_skeleton, global_operators
 # unused here; perfbench/tracing.py wraps it through this module's binding
@@ -104,8 +103,8 @@ class SemidiscreteSystem:
         self.t22 = ops.t22[active]
 
         self._sign = {"accumulating": 1.0, "dissipative": -1.0}.get(flux)
-        self._M_lu = spla.splu(self.M)
-        self._A_lu = spla.splu(self.A)
+        self._M_lu = factor_skeleton(self.M, f"{flux} flux: mass factor")
+        self._A_lu = factor_skeleton(self.A, f"{flux} flux: compliance factor")
         if flux == "conservative":
             S = []
             for b in self._blocks:   # sum_K N_K A_K^-1 N_K^T + tau_K I

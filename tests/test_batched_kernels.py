@@ -73,6 +73,22 @@ def test_hybrid_system_independent_of_batch_size(mixed2, small_batches):
     assert rel(parts.interior, whole.interior) < TOL
 
 
+def test_load_is_evaluated_one_element_batch_at_a_time():
+    # at exactness 20 each element has 1,331 volume points; the load is
+    # called on one batch of them at a time, never on all elements at once
+    mesh = tag_boundary(build_structured_cube(2), "mixed")
+    disc = Discretization(mesh, 1, exactness=20)
+    batches = element_batches(mesh.num_elements, block_bytes(disc))
+    nq = len(disc.vol_rule.weights)
+    data = problem_data_from_case(make_case("varcoeff", kappa=1.3))
+    calls = []
+    counted = ProblemData(data.kappa, lambda x: calls.append(np.shape(x)[:-1]) or data.f(x),
+                          data.g_d, data.g_n, data.g_r)
+    assemble_hybrid(disc, variable_preset(), counted, VARIANTS["first_order"])
+    assert len(batches) > 1
+    assert [np.prod(c) for c in calls] == [len(b) * nq for b in batches]
+
+
 def test_recovery_from_kept_solvers_matches_recover(mixed2):
     disc, case, data = mixed2
     mesh = disc.mesh

@@ -189,51 +189,54 @@ JET_FIELDS = {
     "first-power": lambda m, x1, x2, x3: x1 ** 1,
     "constant": lambda m, x1, x2, x3: 2.5,
     "complex-exp": lambda m, x1, x2, x3: 0.3 * m.exp(-0.7j * (0.6 * x1 + 0.8 * x3)),
+    "quotient": lambda m, x1, x2, x3: x1 ** 2 * x3 / (2 + x2 * m.cos(x3)) - x2 / 2,
+    "reciprocal": lambda m, x1, x2, x3: 1 / (1 + x1 ** 2),
 }
 
 
 def _jet(value):
-    return value if isinstance(value, Jet) else Jet(value, {}, {})
+    return value if isinstance(value, Jet) else Jet(value, {})
 
 
 @pytest.mark.parametrize("name", JET_FIELDS)
 def test_jet_matches_symbolic_derivatives(name):
     fn = JET_FIELDS[name]
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (4, 3))
-    jet = _jet(fn(materials, *Jet.coordinates(pts, 2)))
+    jet = _jet(fn(materials, *Jet.seed(Jet.seed(pts.T))))
+    value, first = _jet(jet.val), {i: _jet(v) for i, v in jet.d1.items()}
     expr = sp.sympify(fn(sp, X1, X2, X3))
     xs = (X1, X2, X3)
     grad = [sp.diff(expr, a) for a in xs]
-    hess = {(i, j): sp.diff(expr, xs[i], xs[j]) for i in range(3) for j in range(i, 3)}
-    # absent entries are exactly the partials that vanish identically
-    assert set(jet.d1) == {i for i in range(3) if grad[i] != 0}
-    assert set(jet.d2) == {ij for ij, e in hess.items() if e != 0}
+    hess = {(i, j): sp.diff(expr, xs[i], xs[j]) for i in range(3) for j in range(3)}
+    # absent entries at both levels are exactly the partials that vanish
+    # identically; the inner level of the value is the gradient again
+    nonzero = {i for i in range(3) if grad[i] != 0}
+    assert set(jet.d1) == nonzero and set(value.d1) == nonzero
+    assert {(i, j) for i in first for j in first[i].d1} == {ij for ij, e in hess.items() if e != 0}
     for p, x in enumerate(pts):
         at = dict(zip(xs, x))
-        pairs = [(jet.val, expr)]
-        pairs += [(jet.d1[i], grad[i]) for i in jet.d1]
-        pairs += [(jet.d2[ij], hess[ij]) for ij in jet.d2]
-        for value, ref in pairs:
+        pairs = [(value.val, expr)]
+        pairs += [(first[i].val, grad[i]) for i in first]
+        pairs += [(value.d1[i], grad[i]) for i in value.d1]
+        # d1[i].d1[j] is d_i d_j, read in both orders
+        pairs += [(first[i].d1[j], hess[i, j]) for i in first for j in first[i].d1]
+        for got, ref in pairs:
             ref = complex(ref.subs(at))
-            assert abs(np.broadcast_to(value, len(pts))[p] - ref) <= 1e-14 * max(abs(ref), 1.0)
+            assert abs(np.broadcast_to(got, len(pts))[p] - ref) <= 1e-14 * max(abs(ref), 1.0)
 
 
-def test_jet_first_order_and_partial():
+@pytest.mark.parametrize("name", JET_FIELDS)
+def test_seeded_jet_outer_level_is_the_single_level_jet(name):
+    fn = JET_FIELDS[name]
     pts = np.random.default_rng(8).uniform(0.0, 1.0, (5, 3))
-    fn = JET_FIELDS["product-across"]
-    full = fn(materials, *Jet.coordinates(pts, 2))
-    first = fn(materials, *Jet.coordinates(pts, 1))
-    assert first.d2 is None and set(first.d1) == set(full.d1)
-    for i in full.d1:
-        assert np.array_equal(first.d1[i], full.d1[i])
-    # d_j of the jet: the gradient entry as value, the Hessian row as partials
-    for j in range(3):
-        part = full.partial(j)
-        assert part.d2 is None
-        assert np.array_equal(np.broadcast_to(part.val, 5), np.broadcast_to(full.d1.get(j, 0.0), 5))
-        for i, v in part.d1.items():
-            assert np.array_equal(v, full.d2[(min(i, j), max(i, j))])
-    assert np.array_equal(fn(materials, *pts.T), full.val)
+    nested = _jet(fn(materials, *Jet.seed(Jet.seed(pts.T))))
+    single = _jet(fn(materials, *Jet.seed(pts.T)))
+    same = lambda a, b: np.array_equal(np.broadcast_to(a, 5), np.broadcast_to(b, 5))
+    assert set(nested.d1) == set(single.d1)
+    assert same(_jet(nested.val).val, single.val)
+    assert same(single.val, fn(materials, *pts.T))
+    for i, v in nested.d1.items():
+        assert same(_jet(v).val, single.d1[i])
 
 
 def test_constant_fields_are_exact_doubles():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdg_elastic import time_domain
+from hdg_elastic import global_system
 from hdg_elastic import (FLUXES, VARIANTS, Discretization, SemidiscreteSystem,
                          SingularSystemError, TimeState, assemble_monolithic, build_structured_cube,
                          isotropic, make_case, tag_boundary, variable_preset,
@@ -355,14 +355,28 @@ def test_steps_factor_one_skeleton_matrix_per_dt(monkeypatch, flux):
     # a step factors its skeleton matrix only, once per step size
     mesh = tag_boundary(build_structured_cube(1), "mixed")
     system = SemidiscreteSystem(Discretization(mesh, 1), variable_preset(), flux)
-    shapes, splu = [], time_domain.spla.splu
-    monkeypatch.setattr(time_domain.spla, "splu",
+    shapes, splu = [], global_system.spla.splu
+    monkeypatch.setattr(global_system.spla, "splu",
                         lambda A, *args, **kwargs: shapes.append(A.shape)
                         or splu(A, *args, **kwargs))
     state = random_state(system, 15)
     for dt in (0.02, 0.02, 0.03):
         state = system.step(state, dt)
     assert shapes == [(system.nm, system.nm)] * 2
+
+
+@pytest.mark.parametrize("flux", FLUXES)
+def test_every_factor_keeps_the_natural_order(monkeypatch, flux):
+    # M, A, the static slaving matrix and the step matrices are all factored
+    # by factor_skeleton, in the order they are numbered in
+    specs, splu = [], global_system.spla.splu
+    monkeypatch.setattr(global_system.spla, "splu",
+                        lambda A, *args, **kwargs: specs.append(kwargs.get("permc_spec"))
+                        or splu(A, *args, **kwargs))
+    mesh = tag_boundary(build_structured_cube(1), "mixed")
+    system = SemidiscreteSystem(Discretization(mesh, 1), variable_preset(), flux)
+    system.step(random_state(system, 18), 0.02)
+    assert specs == ["NATURAL"] * (4 if flux == "conservative" else 3)
 
 
 def test_accumulating_step_fills_as_the_dissipative_step():
@@ -385,14 +399,14 @@ def test_failed_skeleton_factor_raises_singular_system_error(monkeypatch, flux):
     system = SemidiscreteSystem(disc, variable_preset(), flux)
     state = random_state(system, 16)
 
-    splu = time_domain.spla.splu
+    splu = global_system.spla.splu
 
     def singular(matrix, *args, **kwargs):
-        if kwargs.get("permc_spec") == "NATURAL":   # the skeleton factors only
+        if matrix.shape == (system.nm, system.nm):   # the skeleton factors only
             raise RuntimeError("Factor is exactly singular")
         return splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(time_domain.spla, "splu", singular)
+    monkeypatch.setattr(global_system.spla, "splu", singular)
     with pytest.raises(SingularSystemError,
                        match=rf"{flux} flux: step \(dt=0\.02\) factor failed"):
         system.step(state, 0.02)
