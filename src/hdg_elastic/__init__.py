@@ -11,9 +11,7 @@ from .global_system import (HybridSystem, ProblemData, SingularSystemError,
                             save_solution, solve_monolithic, solve_skeleton,
                             solve_time_harmonic)
 from .local_ops import (CONSERVATIVE, FIRST_ORDER, KAPPA_SCALED, TIME_REVERSED,
-                        VARIANTS, FluxVariant, LocalBlocks,
-                        SingularLocalSolverError, assemble_local_blocks,
-                        condense, factorize_local, local_matrix, recover)
+                        VARIANTS, FluxVariant, LocalBlocks, SingularLocalSolverError)
 from .materials import (FROBENIUS_WEIGHTS, SYM_COMPONENTS, SYM_MATS, Jet, Material,
                         isotropic, pack_sym, unpack_sym, variable_preset)
 from .mesh import (BoundaryTag, Mesh, build_structured_cube, load_mesh,

@@ -149,6 +149,10 @@ def main(argv=None):
         parser.error("mesh subdivisions must be positive")
     if args.k < 1:
         parser.error("polynomial degree k must be >= 1")
+    if not (math.isfinite(args.kappa) and args.kappa >= 0):
+        parser.error("--kappa must be finite and >= 0")
+    if not (math.isfinite(args.hk) and args.hk > 0):
+        parser.error("--hk must be finite and > 0")
 
     rows, oracle = run_experiment(args.test, args.variant, args.k, args.n,
                                   kappa=args.kappa, hk=args.hk, bc=args.bc,

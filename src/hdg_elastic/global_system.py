@@ -456,8 +456,8 @@ def _solve_uncondensed(mesh, mat, rhs, layout):
     trace dofs face by face in mesh.dissection_order. The order changes the
     cost of the factor, never the solution.
 
-    Returns x in the layout's numbering and {factor_s, lu_fill}. Raises
-    SingularSystemError when the factor fails or the relative residual
+    Returns x in the layout's numbering and {factor_s, lu_fill, residual}.
+    Raises SingularSystemError when the factor fails or the relative residual
     exceeds _RESIDUAL_TOL."""
     nFd, off_m = layout[2], layout[5]
     faces = dissection_order(mesh)
@@ -473,12 +473,12 @@ def _solve_uncondensed(mesh, mat, rhs, layout):
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(
             f"monolithic solve did not converge (relative residual {residual:.3e})")
-    return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz)}
+    return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz), "residual": float(residual)}
 
 
 def solve_monolithic(disc, material, data, variant, form="second"):
     """Direct solve of the uncondensed system; returns SolutionFields whose
-    meta holds the factor time (factor_s) and the LU fill (lu_fill).
+    meta holds the factor time (factor_s), LU fill (lu_fill) and residual.
 
     The matrix is factored in the problem's dtype by factor_skeleton, element
     by element and then face by face in the nested-dissection order

@@ -20,10 +20,11 @@ All blocks except those multiplied by alpha are real, so for a real alpha
 (the conservative variant) every block of C and of the condensed system is
 real.
 
-element_blocks and condense_batch (block elimination, exact cond(C, 1)) do
-this work for batches of elements with stacked array operations; the hybrid
-solve uses them. factorize_local, condense and recover treat one element
-through the LU factors of C and serve as the reference for the batched path.
+element_blocks and condense_batch do this work for batches of elements with
+stacked array operations; the hybrid solve uses them, and its local
+diagnostics (the exact cond(C, 1) and resolution_flags) come from them alone.
+factorize_local, condense and recover treat one element through the LU
+factors of C; only tests call them, as the reference for the batched path.
 """
 
 from dataclasses import dataclass
@@ -119,11 +120,6 @@ def _kron3(blocks):
     return out.reshape(*lead, 3 * r, 3 * c)
 
 
-def resolution_bound(material, pts):
-    """max over the points (..., nq, 3) of |c_A| rho, per element."""
-    return np.max(material.compliance_bound(pts) * material.rho(pts), axis=-1)
-
-
 def element_blocks(disc, material, elements):
     """Quadrature assembly of all real blocks for an array of elements.
 
@@ -171,8 +167,9 @@ def element_blocks(disc, material, elements):
     tau = disc.tau(elements)
     T11 = tau[:, None, None] * _kron3((np.swapaxes(g, 2, 3) @ g).sum(axis=1))
 
+    wave_bound = np.max(material.compliance_bound(pts) * material.rho(pts), axis=-1)
     return LocalBlocks(elements, A, D, M, T11, N, G, tau, disc.h[elements],
-                       nS, nW3, nFd, resolution_bound(material, pts))
+                       nS, nW3, nFd, wave_bound)
 
 
 def element_block_batches(disc, material):
@@ -207,32 +204,23 @@ def local_matrix(blocks, kappa, variant):
 @dataclass
 class LocalFactorization:
     blocks: LocalBlocks
-    kappa: float
-    variant: FluxVariant
     alpha: complex
     lu: tuple
     condition_estimate: float
-    resolution_flag: bool   # True when kappa * h_K is outside the small-frequency regime
 
 
-def factorize_local(blocks, kappa, variant, material=None, disc=None):
-    """LU-factorize the local interior matrix; estimate its conditioning.
+def factorize_local(blocks, kappa, variant):
+    """LU-factorize one element's interior matrix C; exact cond(C, 1).
 
-    The resolution flag marks elements with kappa*h_K >= 1/sqrt(|c_A| |rho|),
-    the regime where local well-posedness is no longer guaranteed a priori.
-    """
+    A test reference for condense_batch, which computes the same cond(C, 1)
+    on the solve path; the resolution flag comes from resolution_flags."""
     C = local_matrix(blocks, kappa, variant)
     cond = np.linalg.cond(C, 1)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularLocalSolverError(
             f"local solver is singular on element {blocks.element} "
             f"(kappa={kappa}, variant={variant.tag}, cond={cond:.3e})")
-    flag = False
-    if material is not None and disc is not None:
-        bound = resolution_bound(material, disc.element_points(blocks.element))
-        flag = bool(resolution_flags(kappa, blocks.h, bound))
-    return LocalFactorization(blocks, kappa, variant, variant.alpha(kappa),
-                              lu_factor(C), cond, flag)
+    return LocalFactorization(blocks, variant.alpha(kappa), lu_factor(C), cond)
 
 
 def _coupling(fact):
@@ -352,6 +340,4 @@ def recover(fact, m_local, f_moments):
     rhs = B_in @ np.asarray(m_local, dtype=complex)
     rhs[b.nS:] += np.asarray(f_moments, dtype=complex).ravel()
     sol = lu_solve(fact.lu, rhs)
-    nV = b.nS // 6
-    nW = b.nW3 // 3
-    return sol[:b.nS].reshape(6, nV), sol[b.nS:].reshape(3, nW)
+    return sol[:b.nS].reshape(6, -1), sol[b.nS:].reshape(3, -1)

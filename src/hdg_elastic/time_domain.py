@@ -22,21 +22,22 @@ over 20 steps of dt = 0.02 from a random state).
 
 Every implicit step is the hybrid system of the frequency-domain solver at a
 real (kappa^2, alpha) with an element load linear in the old state, condensed
-onto the skeleton traces by local_ops.condense_batch:
-  Newmark (conservative, c = BETA dt^2): (M + c K) u1 = M u_pred is the
-    conservative system at (kappa^2, alpha) = (-1/c, 1) in u1, with element
-    load f = -M u_pred / c; then a1 = (u1 - u_pred) / c.
-  trapezoidal rule (rate fluxes, h = dt/2): the system at (-1/h^2, -sign/h)
-    in the midpoint (w_u, w_m) = ((u0 + u1)/2, (m0 + m1)/2), with element load
-    f = -M v0 / h + (kappa^2 M - alpha T11) u0 + alpha tau G^T m0 and the
-    skeleton right side sum_K alpha tau_K (m0 - G u0)_K; then u1 = 2 w_u - u0,
-    v1 = 2 (w_u - u0) / h - v0 and m1 = 2 w_m - m0.
+onto the skeleton traces by local_ops.condense_batch. It solves for a change
+over the step, so its roundoff scales with the change, not with the state:
+  Newmark (conservative, c = BETA dt^2, K u0 = -M a0): the system at
+    (kappa^2, alpha) = (-1/c, 1) in the increment du = u1 - u0, with element
+    load f = -M (du_pred / c + a0), du_pred = dt v0 + dt^2 (1/2 - BETA) a0;
+    then u1 = u0 + du and a1 = (du - du_pred) / c.
+  trapezoidal rule (rate fluxes, h = dt/2, s0 = A^-1 (N^T m0 - D^T u0)): the
+    system at (-1/h^2, -sign/h) in the midpoint rates (w_v, w_m'), with
+    element load f = -M v0 / h^2 - D s0 / h and skeleton right side
+    -N s0 / h; then u1 = u0 + dt w_v, v1 = 2 w_v - v0 and m1 = m0 + dt w_m'.
 The slaved (s, m) of the conservative flux solve the static skeleton system
   sum_K (N_K A_K^-1 N_K^T + tau_K I) m = (N A^-1 D^T + T12^T) u,
   s = A^-1 (N^T m - D^T u).
 Each skeleton matrix is factored once per step size, and M and A once, all
-by factor_skeleton; a step is one batched element load, one skeleton solve
-and one batched displacement recovery.
+by factor_skeleton; a step is one batched element load (with s0 for the
+trapezoidal rule), one skeleton solve and one batched displacement recovery.
 
 The real blocks are the global operators of the frequency-domain solver
 (global_system.global_operators), restricted to the trace dofs of the
@@ -87,7 +88,6 @@ class SemidiscreteSystem:
         if flux not in FLUXES:
             raise ValueError(f"unknown flux {flux!r}; expected one of {FLUXES}")
         self.disc = disc
-        self.material = material
         self.flux = flux
         self._blocks = element_block_batches(disc, material)
         ops = global_operators(disc, self._blocks)
@@ -200,7 +200,7 @@ class SemidiscreteSystem:
         return lu, L * free[:, :, None], X * free[:, None, :], Z
 
     def _solve(self, step, f, rhs):
-        """Skeleton traces m and displacement u of a condensed step with load
+        """Trace and displacement unknowns (m, u) of a condensed step with load
         moments f (nu,) and skeleton right side rhs besides the loads."""
         skel, (lu, L, X, Z) = self.skeleton, step
         f = f.reshape(len(Z), -1, 1)
@@ -236,20 +236,20 @@ class SemidiscreteSystem:
             self._steps[dt] = self._condense(-1.0 / c, 1.0, dt)
         a0 = (state.a if state.a is not None
               else self._M_lu.solve(-self._stiffness(state.u)[0]))
-        u_pred = state.u + dt * state.v + dt * dt * (0.5 - BETA) * a0
-        u1 = self._solve(self._steps[dt], -(self.M @ u_pred) / c, 0.0)[1]
-        a1 = (u1 - u_pred) / c
-        return TimeState(state.t + dt, u1, state.v + 0.5 * dt * (a0 + a1), a=a1)
+        du_pred = dt * state.v + dt * dt * (0.5 - BETA) * a0
+        du = self._solve(self._steps[dt], -(self.M @ (du_pred / c + a0)), 0.0)[1]
+        a1 = (du - du_pred) / c
+        return TimeState(state.t + dt, state.u + du, state.v + 0.5 * dt * (a0 + a1), a=a1)
 
     def _trapezoidal_step(self, state, dt):
         if dt not in self._steps:
             self._steps[dt] = self._first_order_operator(dt)
         h = 0.5 * dt
-        kappa2, alpha = -1.0 / h ** 2, -self._sign / h
         u, v, m = state.u, state.v, state.m
-        f = self.M @ (kappa2 * u - v / h) - alpha * (self.T11 @ u - self.T12 @ m)
-        wm, wu = self._solve(self._steps[dt], f, alpha * (self.t22 * m - self.T12.T @ u))
-        return TimeState(state.t + dt, 2.0 * wu - u, 2.0 * (wu - u) / h - v, 2.0 * wm - m)
+        s = self.stress_from(u, m)
+        wm, wv = self._solve(self._steps[dt], -(self.M @ v) / h ** 2 - (self.D @ s) / h,
+                             -(self.N @ s) / h)
+        return TimeState(state.t + dt, u + dt * wv, 2.0 * wv - v, m + dt * wm)
 
 def write_energy_trace(path, system, states):
     """CSV energy trace: t, energy, rate, flux."""

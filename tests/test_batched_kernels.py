@@ -7,15 +7,16 @@ import scipy.sparse.linalg as spla
 
 from hdg_elastic import (VARIANTS, Discretization, ProblemData,
                          SingularLocalSolverError, assemble_hybrid,
-                         assemble_local_blocks, build_structured_cube, condense,
-                         factorize_local, local_matrix, make_case, reconstruct,
-                         recover, solve_skeleton, solve_time_harmonic,
-                         tag_boundary, variable_preset)
+                         build_structured_cube, make_case, reconstruct,
+                         solve_skeleton, solve_time_harmonic, tag_boundary,
+                         variable_preset)
 from hdg_elastic import local_ops
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.global_system import load_moments
-from hdg_elastic.local_ops import (block_bytes, condense_batch, element_batches,
-                                   element_blocks, resolution_flags)
+from hdg_elastic.local_ops import (assemble_local_blocks, block_bytes, condense,
+                                   condense_batch, element_batches, element_blocks,
+                                   factorize_local, local_matrix, recover,
+                                   resolution_flags)
 
 TOL = 1e-12
 
@@ -112,13 +113,14 @@ def test_resolution_flag_on_main_path():
     disc = Discretization(mesh, 1)
     material = variable_preset()
     ne = mesh.num_elements
+    # kappa h_K >= 1/sqrt(max |c_A| rho), the bound taken at the quadrature points
+    pts = disc.element_points(np.arange(ne))
+    bound = np.max(material.compliance_bound(pts) * material.rho(pts), axis=-1)
     for kappa, expected in ((0.5, 0), (50.0, ne)):
         system = assemble_hybrid(disc, material, ProblemData(kappa=kappa),
                                  VARIANTS["first_order"])
-        flags = [factorize_local(assemble_local_blocks(disc, material, e), kappa,
-                                 VARIANTS["first_order"], material, disc).resolution_flag
-                 for e in range(ne)]
-        assert system.diagnostics["flagged_elements"] == sum(flags) == expected
+        flags = kappa * disc.h >= 1.0 / np.sqrt(bound)
+        assert system.diagnostics["flagged_elements"] == flags.sum() == expected
 
 
 # a real and a complex frequency problem, a Newmark and a trapezoidal step

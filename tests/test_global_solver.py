@@ -361,6 +361,7 @@ def test_monolithic_factor_reports_less_fill_than_colamd():
     x = colamd.solve(rhs)
     assert isinstance(sol.meta["factor_s"], float)
     assert sol.meta["lu_fill"] < colamd.nnz
+    assert sol.meta["residual"] < 1e-12
     nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
     for field, ref in ((sol.sigma, x[off_s:off_u]), (sol.u, x[off_u:off_m]),
                        (sol.uhat, x[off_m:])):

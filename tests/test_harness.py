@@ -216,6 +216,17 @@ def test_cli_invalid_args():
         main(["--test", "unknown-test"])
     with pytest.raises(SystemExit):
         main(["--test", "varcoeff", "--variant", "bogus"])
+    # kappa must be finite and >= 0; hk must be finite and > 0 (hk = 0 is a
+    # static pure-traction impedance problem)
+    for argv in (["--test", "varcoeff", "--kappa", "-1"],
+                 ["--test", "varcoeff", "--kappa", "nan"],
+                 ["--test", "varcoeff", "--kappa", "inf"],
+                 ["--test", "hk-const", "--hk", "-0.1"],
+                 ["--test", "hk-const", "--hk", "0"],
+                 ["--test", "hk-const", "--hk", "nan"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cli_oracle_monolithic(tmp_path):

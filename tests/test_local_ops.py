@@ -5,10 +5,11 @@ import pytest
 from scipy.linalg import lu_solve
 
 from hdg_elastic import (FROBENIUS_WEIGHTS, SYM_MATS, VARIANTS, Discretization,
-                         assemble_local_blocks, build_structured_cube, condense,
-                         factorize_local, isotropic, local_matrix, pack_sym,
-                         recover, tag_boundary, variable_preset)
-from hdg_elastic.local_ops import _coupling
+                         build_structured_cube, isotropic, pack_sym, tag_boundary,
+                         variable_preset)
+from hdg_elastic.local_ops import (_coupling, assemble_local_blocks, condense,
+                                   factorize_local, local_matrix, recover,
+                                   resolution_flags)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +228,5 @@ def test_recover_satisfies_local_equations(setup):
 def test_resolution_flag(setup):
     disc, mat = setup
     b = assemble_local_blocks(disc, mat, 0)
-    low = factorize_local(b, 0.01, VARIANTS["first_order"], mat, disc)
-    high = factorize_local(b, 50.0, VARIANTS["first_order"], mat, disc)
-    assert not low.resolution_flag
-    assert high.resolution_flag
+    assert not resolution_flags(0.01, b.h, b.wave_bound)
+    assert resolution_flags(50.0, b.h, b.wave_bound)

@@ -14,12 +14,12 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from hdg_elastic import (VARIANTS, Discretization, assemble_hybrid, assemble_monolithic,
-                         assemble_local_blocks, build_structured_cube, condense,
-                         factorize_local, make_case, recover, solve_monolithic,
+                         build_structured_cube, make_case, solve_monolithic,
                          solve_time_harmonic, tag_boundary)
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.global_system import (SkeletonMap, boundary_data, flux_residual,
                                        load_moments, solve_dirichlet_trace, trace_dofs)
+from hdg_elastic.local_ops import assemble_local_blocks, condense, factorize_local, recover
 
 CONSERVATIVE = VARIANTS["conservative"]
 
