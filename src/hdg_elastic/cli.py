@@ -147,6 +147,8 @@ def main(argv=None):
         parser.error("--test is required unless --check is given")
     if any(n < 1 for n in args.n):
         parser.error("mesh subdivisions must be positive")
+    if len(set(args.n)) < len(args.n):
+        parser.error("mesh subdivisions must be distinct")
     if args.k < 1:
         parser.error("polynomial degree k must be >= 1")
     if not (math.isfinite(args.kappa) and args.kappa >= 0):

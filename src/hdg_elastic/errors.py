@@ -63,13 +63,16 @@ def compute_errors(disc, material, case, solution):
 def eoc(errors, hs):
     """Per-level estimated orders log(e_c/e_f)/log(h_c/h_f); first entry None.
 
-    Levels with a vanishing fine-level error are flagged as saturated (nan)."""
+    Levels with a vanishing fine-level error are flagged as saturated (nan);
+    any other level whose mesh size equals the previous one raises ValueError."""
     if len(errors) != len(hs):
         raise ValueError("errors and mesh sizes must have equal length")
     out = [None]
     for i in range(1, len(errors)):
         if errors[i] <= 0 or errors[i - 1] <= 0:
             out.append(float("nan"))
+        elif hs[i] == hs[i - 1]:
+            raise ValueError(f"levels {i - 1} and {i} have the same mesh size {hs[i]}")
         else:
             out.append(math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i]))
     return out

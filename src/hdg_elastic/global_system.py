@@ -3,15 +3,15 @@
 Every global path shares one numbering and one set of operators:
 
 - Trace dofs cover all faces: face fi owns dofs fi*3nF .. (fi+1)*3nF - 1,
-  component-major within the face (faces are sorted by vertex triple at mesh
-  build time). `trace_dofs` maps each element's local faces to them.
+  component-major within the face, faces in the mesh's nested-dissection
+  order. `trace_dofs` maps each element's local faces to them.
 - `global_operators` scatters the real element blocks A, D, M, T11, N and G
   (as T12 = sum tau_K G_K^T and t22 = sum tau_K) over stress, displacement
   and trace dofs; `boundary_data` reads the Neumann and impedance data.
 - The skeleton unknowns of the hybridized (condensed) system are the trace
-  dofs of the non-Dirichlet faces, in the one nested-dissection face order
-  of `SkeletonMap`. Dirichlet faces carry known coefficients, the face-wise
-  L2 projection of the boundary datum.
+  dofs of the non-Dirichlet faces, in face order (`SkeletonMap`). Dirichlet
+  faces carry known coefficients, the face-wise L2 projection of the
+  boundary datum.
 
 The uncondensed systems - the second-order form in (stress, displacement,
 traces) and the first-order form in the unscaled stress - are block matrices
@@ -19,10 +19,10 @@ over the same operators; as oracles they differ from the hybrid path in
 their uncondensed solve. The flux residual and the transient system
 (time_domain) use the same operators.
 
-Every hybrid and uncondensed system is factored by factor_skeleton, in a
-nested-dissection order with diagonal pivots: the skeleton in the face order
-of SkeletonMap, the uncondensed system element by element and then its
-traces in the same face order.
+Both direct solves, of the skeleton and of the uncondensed system, go through
+direct_solve: factor_skeleton with diagonal pivots, in the order the system
+is assembled in, and one relative residual check. That order is the
+nested-dissection order: element by element, then the traces face by face.
 """
 
 import json
@@ -40,7 +40,7 @@ from .local_ops import (FluxVariant, block_bytes, condense_batch,
 # The per-element reference path; perfbench/tracing.py wraps these names
 # through this module's bindings.
 from .local_ops import assemble_local_blocks, condense, factorize_local, recover  # noqa: F401
-from .mesh import BoundaryTag, dissection_order
+from .mesh import BoundaryTag
 
 _RESIDUAL_TOL = 1e-8
 # SuperLU's diagonal pivot threshold in factor_skeleton. At its default 1.0,
@@ -103,15 +103,14 @@ def _scatter(row_dofs, col_dofs, blocks, shape, kind=sps.csr_matrix):
 
 class SkeletonMap:
     """The one numbering of the skeleton unknowns, assembled and factored in
-    it: the trace dofs of the non-Dirichlet faces (active) in the face order
-    of mesh.dissection_order; skeleton dof i is the trace dof dofs[i].
+    it: the trace dofs of the non-Dirichlet faces (active) in face order, the
+    mesh's nested-dissection order; skeleton dof i is the trace dof dofs[i].
 
     element_dofs (ne, 4 nFd) gives the skeleton dof of each element-local
     trace dof where free (a non-Dirichlet face) is True, and 0 elsewhere."""
 
     def __init__(self, mesh, nFd):
-        order = dissection_order(mesh)
-        self.active = order[mesh.face_tags[order] != BoundaryTag.DIRICHLET]
+        self.active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
         self.ndof = len(self.active) * nFd
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
         traces = trace_dofs(mesh, nFd).reshape(mesh.num_elements, -1)
@@ -128,24 +127,39 @@ class SkeletonMap:
                         (self.ndof, self.ndof), sps.csc_matrix)
 
 
-def factor_skeleton(matrix, name="skeleton factor"):
-    """Sparse LU of a matrix as it is numbered: a skeleton matrix in the
-    nested-dissection face order of its SkeletonMap, the uncondensed system
-    in the order of _solve_uncondensed, or a mass matrix block-diagonal per
-    element, whose natural order adds no fill.
+def factor_skeleton(matrix, name):
+    """Sparse LU of a matrix as it is numbered: a skeleton or uncondensed
+    system in the mesh's nested-dissection face order, or a mass matrix
+    block-diagonal per element, whose natural order adds no fill.
 
     SymmetricMode with the pivot threshold _DIAG_PIVOT_THRESH takes the
     diagonal entry as pivot unless it is smaller than that fraction of the
     largest entry left in its column, so the factor keeps the order and its
     fill is the order's, also for an indefinite matrix. A failed factor
-    raises SingularSystemError, naming what failed. An exactly singular
-    matrix may instead factor with a tiny pivot; the callers' residual
-    checks refuse its solution."""
+    raises SingularSystemError, naming what failed (name). An exactly
+    singular matrix may instead factor with a tiny pivot: direct_solve's
+    residual check refuses its solution, while the time-domain factors (mass,
+    compliance, static slaving and step) are solved unchecked."""
     try:
         return spla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH,
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(f"{name} failed: {exc}") from exc
+
+
+def direct_solve(matrix, rhs, name):
+    """Solve matrix x = rhs by factor_skeleton, as numbered. Returns x and
+    {factor_s, lu_fill, residual}: the factor time, the nonzeros of L and U
+    and ||matrix x - rhs|| / ||rhs||. Raises SingularSystemError naming the
+    solve when the factor fails or the residual exceeds _RESIDUAL_TOL."""
+    t0 = time.perf_counter()
+    lu = factor_skeleton(matrix, name)
+    factor_s = time.perf_counter() - t0
+    x = lu.solve(rhs)
+    residual = np.linalg.norm(matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
+        raise SingularSystemError(f"{name} did not converge (relative residual {residual:.3e})")
+    return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz), "residual": float(residual)}
 
 
 @dataclass(frozen=True)
@@ -311,19 +325,12 @@ def assemble_hybrid(disc, material, data, variant):
 def solve_skeleton(system):
     """Sparse direct solve of the condensed system; returns (nfaces, 3, nF).
 
-    Factors the matrix with factor_skeleton, in the system's dtype, and
-    adds the relative residual, the LU fill (nonzeros of L and U) and the
-    factor time (factor_s) to system.diagnostics."""
-    t0 = time.perf_counter()
-    lu = factor_skeleton(system.matrix)
-    system.diagnostics["factor_s"] = time.perf_counter() - t0
-    x = lu.solve(system.rhs)
-    scale = max(np.linalg.norm(system.rhs), np.linalg.norm(x), 1e-300)
-    residual = np.linalg.norm(system.matrix @ x - system.rhs) / scale
-    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"skeleton solve did not converge (relative residual {residual:.3e})")
-    system.diagnostics.update(skeleton_residual=float(residual), lu_fill=int(lu.nnz))
+    Solves in the system's dtype by direct_solve, and adds its factor time
+    (factor_s), LU fill (nonzeros of L and U) and relative residual
+    (skeleton_residual) to system.diagnostics."""
+    x, meta = direct_solve(system.matrix, system.rhs, "skeleton solve")
+    system.diagnostics.update(factor_s=meta["factor_s"], lu_fill=meta["lu_fill"],
+                              skeleton_residual=meta["residual"])
     uhat = system.dirichlet_values.astype(x.dtype)
     uhat[system.skeleton.active] = x.reshape(-1, *uhat.shape[1:])
     return uhat
@@ -449,40 +456,13 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
     return mat, rhs, (nS, nW3, nFd, 0, ns, ns + nu, len(rhs))
 
 
-def _solve_uncondensed(mesh, mat, rhs, layout):
-    """Solve the uncondensed system mat x = rhs of assemble_monolithic through
-    factor_skeleton, in this order: the stress and displacement dofs as laid
-    out (block-diagonal per element, so no fill leaves an element), then the
-    trace dofs face by face in mesh.dissection_order. The order changes the
-    cost of the factor, never the solution.
-
-    Returns x in the layout's numbering and {factor_s, lu_fill, residual}.
-    Raises SingularSystemError when the factor fails or the relative residual
-    exceeds _RESIDUAL_TOL."""
-    nFd, off_m = layout[2], layout[5]
-    faces = dissection_order(mesh)
-    order = np.concatenate([np.arange(off_m),
-                            off_m + (faces[:, None] * nFd + np.arange(nFd)).ravel()])
-    assert np.array_equal(np.sort(order), np.arange(len(rhs))), "order is no permutation"
-    t0 = time.perf_counter()
-    lu = factor_skeleton(mat[order][:, order].tocsc(), "monolithic solve")
-    factor_s = time.perf_counter() - t0
-    x = np.empty(len(rhs), mat.dtype)
-    x[order] = lu.solve(rhs[order])
-    residual = np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"monolithic solve did not converge (relative residual {residual:.3e})")
-    return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz), "residual": float(residual)}
-
-
 def solve_monolithic(disc, material, data, variant, form="second"):
     """Direct solve of the uncondensed system; returns SolutionFields whose
     meta holds the factor time (factor_s), LU fill (lu_fill) and residual.
 
-    The matrix is factored in the problem's dtype by factor_skeleton, element
-    by element and then face by face in the nested-dissection order
-    (_solve_uncondensed).
+    The matrix is solved in the problem's dtype by direct_solve, as it is
+    assembled: element by element, then face by face in the mesh's
+    nested-dissection order.
     Raises ValueError for a static pure-traction problem and
     SingularSystemError when the factor fails or the solve does not converge."""
     _check_solvable(disc.mesh, data.kappa)
@@ -495,7 +475,7 @@ def solve_monolithic(disc, material, data, variant, form="second"):
                                   f"{variant.tag!r} has alpha = 0 at kappa = 0")
     mat, rhs, layout = assemble_monolithic(disc, material, data, variant, form)
     nS, nW3, nFd, off_s, off_u, off_m, ndof = layout
-    x, meta = _solve_uncondensed(disc.mesh, mat, rhs, layout)
+    x, meta = direct_solve(mat.tocsc(), rhs, "monolithic solve")
     ne = disc.mesh.num_elements
     sigma = x[off_s:off_s + ne * nS].reshape(ne, 6, disc.nV)
     u = x[off_u:off_u + ne * nW3].reshape(ne, 3, disc.nW)

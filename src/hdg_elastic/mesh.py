@@ -3,7 +3,8 @@
 The unit cube is split into n^3 congruent subcubes, each subdivided into six
 tetrahedra sharing the subcube's main diagonal (Kuhn split), which makes the
 family nested under refinement. The skeleton is one table of face arrays on
-the Mesh, a row per sorted global vertex triple, in sorted order; the stored
+the Mesh, a row per sorted global vertex triple, numbered at build in the
+order of dissection_order that every global system is factored in; the stored
 unit normal is the one induced by that vertex order, and each element records
 in element_face_signs a +/-1 orientation of its faces relative to it.
 """
@@ -37,7 +38,7 @@ class Mesh:
     elements: np.ndarray            # (ne, 4), positively oriented
     element_faces: np.ndarray       # (ne, 4) global face index per local face
     element_face_signs: np.ndarray  # (ne, 4) +/-1 vs the stored face normal
-    face_vertices: np.ndarray       # (nf, 3) sorted vertex triples, in sorted order
+    face_vertices: np.ndarray       # (nf, 3) sorted vertex triples, in dissection order
     face_elements: np.ndarray       # (nf, 2) owner and neighbour, -1 on the boundary
     face_normals: np.ndarray        # (nf, 3) unit normals of the sorted vertex order
     face_areas: np.ndarray          # (nf,)
@@ -109,7 +110,10 @@ def _finish_mesh(vertices, elements):
     v = vertices[elements]
     flip = np.linalg.det(v[:, 1:] - v[:, :1]) < 0
     elements[flip, 2:] = elements[flip, 2:][:, ::-1]
-    return Mesh(vertices, elements, **_build_faces(vertices, elements))
+    mesh = Mesh(vertices, elements, **_build_faces(vertices, elements))
+    order = dissection_order(mesh)   # the faces are numbered in it from here on
+    return replace(mesh, element_faces=np.argsort(order)[mesh.element_faces], **{
+        name: getattr(mesh, name)[order] for name in vars(mesh) if name.startswith("face_")})
 
 
 def build_structured_cube(n):
@@ -163,7 +167,7 @@ def dissection_order(mesh):
     cut rank t in [0.3 n, 0.7 n] of the centroid ranking along an axis that
     minimizes (faces crossing the cut) n / min(t, n - t). The faces shared
     by the two halves follow both halves. Uses only the element centroids
-    and face_elements."""
+    and face_elements; on a built mesh, already numbered so, it is arange."""
     ne = mesh.num_elements
     centroids = mesh.vertices[mesh.elements].mean(axis=1)
     # the two elements of each face; a boundary face names its owner twice

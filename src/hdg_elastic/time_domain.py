@@ -99,6 +99,8 @@ class SemidiscreteSystem:
         self.M = ops.M.tocsc()
         self.T11 = ops.T11
         self.N = ops.N[active]
+        # transposes built once: making the .T view costs more than its product
+        self._Dt, self._Nt = self.D.T.tocsr(), self.N.T.tocsr()
         self.T12 = ops.T12[:, active]
         self.t22 = ops.t22[active]
 
@@ -120,7 +122,7 @@ class SemidiscreteSystem:
     def slave_conservative(self, w):
         """(s, m) solving the stress and transmission constraints for u = w
         (a vector, or a matrix of columns) on the static skeleton factor."""
-        m = self._slave_lu.solve(self.N @ self._A_lu.solve(self.D.T @ w) + self.T12.T @ w)
+        m = self._slave_lu.solve(self.N @ self._A_lu.solve(self._Dt @ w) + self.T12.T @ w)
         return self.stress_from(w, m), m
 
     def _stiffness(self, w):
@@ -130,7 +132,7 @@ class SemidiscreteSystem:
 
     def stress_from(self, u, m):
         """s = A^-1 (N^T m - D^T u)."""
-        return self._A_lu.solve(self.N.T @ m - self.D.T @ u)
+        return self._A_lu.solve(self._Nt @ m - self._Dt @ u)
 
     def trace_rate(self, v, s):
         return (self.T12.T @ v + self._sign * (self.N @ s)) / self.t22
@@ -164,7 +166,7 @@ class SemidiscreteSystem:
             return float(rate)
         s = self.stress_from(state.u, state.m)
         dm = self.trace_rate(state.v, s)
-        ds = self._A_lu.solve(self.N.T @ dm - self.D.T @ state.v)
+        ds = self.stress_from(state.v, dm)
         dv = self._M_lu.solve(self.D @ s
                               + self._sign * (self.T11 @ state.v - self.T12 @ dm))
         return float(s @ (self.A @ ds) + state.v @ (self.M @ dv))

@@ -18,6 +18,7 @@ from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
                          save_solution, solve_monolithic, solve_skeleton,
                          solve_time_harmonic, tag_boundary)
 from hdg_elastic import global_system
+from hdg_elastic import mesh as mesh_module
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.global_system import (SkeletonMap, boundary_data, global_operators,
                                        load_moments, solve_dirichlet_trace, trace_dofs)
@@ -144,7 +145,8 @@ def test_flux_single_valued_varcoeff():
 
 
 def test_flux_residual_needs_no_skeleton_order(monkeypatch):
-    # the residual is a maximum over the non-Dirichlet trace dofs, in any order
+    # the faces are numbered in the dissection order once, at mesh build; the
+    # residual and both direct solves read that numbering and order nothing
     case = make_case("varcoeff", kappa=1.0)
     disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
     data = problem_data_from_case(case)
@@ -153,10 +155,15 @@ def test_flux_residual_needs_no_skeleton_order(monkeypatch):
     expected = flux_residual(disc, case.material, data, variant, sol)
 
     def no_order(mesh):
-        raise AssertionError("flux_residual ordered the skeleton")
+        raise AssertionError("the skeleton was ordered after mesh build")
 
-    monkeypatch.setattr(global_system, "dissection_order", no_order)
+    assert not hasattr(global_system, "dissection_order")
+    monkeypatch.setattr(mesh_module, "dissection_order", no_order)
     assert flux_residual(disc, case.material, data, variant, sol) == expected
+    hybrid, _ = solve_time_harmonic(disc, case.material, data, variant)
+    monolithic = solve_monolithic(disc, case.material, data, variant)
+    assert np.array_equal(hybrid.u, sol.u)
+    assert np.abs(monolithic.u - sol.u).max() < 1e-10 * np.abs(sol.u).max()
 
 
 def test_skeleton_residual_varcoeff():
@@ -378,12 +385,12 @@ from hdg_elastic.errors import problem_data_from_case
 
 case = make_case("polynomial", kappa=0.0, k=1)
 disc = Discretization(tag_boundary(build_structured_cube(1), "mixed"), 1)
-system = global_system.assemble_monolithic(
+mat, rhs, _ = global_system.assemble_monolithic(
     disc, case.material, problem_data_from_case(case), VARIANTS["first_order"])
 refused = 0
 for _ in range(50):
     try:
-        global_system._solve_uncondensed(disc.mesh, *system)
+        global_system.direct_solve(mat.tocsc(), rhs, "monolithic solve")
     except SingularSystemError:
         refused += 1
 print(refused)

@@ -174,6 +174,10 @@ def test_eoc_values():
     assert abs(rates[1]) < 1e-12
     rates = eoc([1e-3, 0.0], [1.0, 0.5])
     assert math.isnan(rates[1])
+    with pytest.raises(ValueError, match="same mesh size"):
+        eoc([1e-2, 1e-3, 1e-4], [1.0, 0.5, 0.5])
+    # a saturated level has no rate to divide by its mesh sizes
+    assert math.isnan(eoc([0.0, 0.0], [1.0, 1.0])[1])
 
 
 # ---------------------------------------------------------------- CLI
@@ -217,13 +221,14 @@ def test_cli_invalid_args():
     with pytest.raises(SystemExit):
         main(["--test", "varcoeff", "--variant", "bogus"])
     # kappa must be finite and >= 0; hk must be finite and > 0 (hk = 0 is a
-    # static pure-traction impedance problem)
+    # static pure-traction impedance problem); the --n values must be distinct
     for argv in (["--test", "varcoeff", "--kappa", "-1"],
                  ["--test", "varcoeff", "--kappa", "nan"],
                  ["--test", "varcoeff", "--kappa", "inf"],
                  ["--test", "hk-const", "--hk", "-0.1"],
                  ["--test", "hk-const", "--hk", "0"],
-                 ["--test", "hk-const", "--hk", "nan"]):
+                 ["--test", "hk-const", "--hk", "nan"],
+                 ["--test", "varcoeff", "--n", "1,1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -208,6 +208,8 @@ def test_dissection_order_names_each_face_once(tmp_path):
     for mesh in (build_structured_cube(3), jittered_cube(tmp_path / "jittered.txt")):
         order = dissection_order(mesh)
         assert np.array_equal(np.sort(order), np.arange(mesh.num_faces))
+        # the mesh is numbered in this order at build, so it is idempotent
+        assert np.array_equal(order, np.arange(mesh.num_faces))
 
 
 def wall_axis(mesh, fi):
@@ -235,10 +237,10 @@ def test_face_table_contract(tmp_path, kind):
         else jittered_cube(tmp_path / "jittered.txt", n=2)
     assert mesh.face_vertices.shape == (mesh.num_faces, 3)
     assert mesh.face_elements.shape == (mesh.num_faces, 2)
-    # rows in sorted order of the sorted triples
+    # sorted triples, one row each, numbered in the dissection order
     assert np.all(np.diff(mesh.face_vertices, axis=1) > 0)
-    keys = [tuple(t) for t in mesh.face_vertices.tolist()]
-    assert keys == sorted(set(keys))
+    assert len({tuple(t) for t in mesh.face_vertices.tolist()}) == mesh.num_faces
+    assert np.array_equal(dissection_order(mesh), np.arange(mesh.num_faces))
     for fi, (owner, neighbor) in enumerate(mesh.face_elements):
         for e in (owner, neighbor) if neighbor >= 0 else (owner,):
             assert fi in mesh.element_faces[e]
