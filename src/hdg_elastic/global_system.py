@@ -13,26 +13,35 @@ Every global path shares one numbering and one set of operators:
   faces carry known coefficients, the face-wise L2 projection of the
   boundary datum.
 
+The hybrid path keeps the condensed element blocks S_K, with their Dirichlet
+rows and columns zeroed, and solves the skeleton system sum_K S_K x = b by a
+multifrontal LU (FrontFactor) over the mesh's dissection tree: dense fronts
+assembled straight from the blocks, factored by LAPACK, with no sparse
+skeleton matrix and no SuperLU. The tree's subtrees are contiguous ranges of
+the face numbering, so a node's own faces are one range of skeleton dofs.
+Its residual is summed element by element.
+
 The uncondensed systems - the second-order form in (stress, displacement,
 traces) and the first-order form in the unscaled stress - are block matrices
 over the same operators; as oracles they differ from the hybrid path in
-their uncondensed solve. The flux residual and the transient system
-(time_domain) use the same operators.
-
-Both direct solves, of the skeleton and of the uncondensed system, go through
-direct_solve: factor_skeleton with diagonal pivots, in the order the system
-is assembled in, and one relative residual check. That order is the
-nested-dissection order: element by element, then the traces face by face.
+their uncondensed solve, by direct_solve: factor_skeleton (SuperLU) with
+diagonal pivots, in the order the system is assembled in (element by
+element, then the traces face by face in the nested-dissection order), and
+one relative residual check. The flux residual and the transient system
+(time_domain) use the same operators; the transient skeleton factors, solved
+on every step, also stay on factor_skeleton, whose solve runs in C.
 """
 
 import json
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .local_ops import (FluxVariant, block_bytes, condense_batch,
                         element_batches, element_block_batches, element_blocks,
@@ -111,6 +120,7 @@ class SkeletonMap:
 
     def __init__(self, mesh, nFd):
         self.active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
+        self.nFd = nFd
         self.ndof = len(self.active) * nFd
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
         traces = trace_dofs(mesh, nFd).reshape(mesh.num_elements, -1)
@@ -119,17 +129,30 @@ class SkeletonMap:
         skeleton_dof[self.dofs] = np.arange(self.ndof)
         self.element_dofs = skeleton_dof[traces]
 
+    def clear_fixed(self, S):
+        """Zero the Dirichlet rows and columns of the element blocks S
+        (ne, 4 nFd, 4 nFd) in place."""
+        S *= self.free[:, :, None] & self.free[:, None, :]
+
     def matrix(self, S):
         """CSC skeleton matrix of the element blocks S (ne, 4 nFd, 4 nFd),
         whose Dirichlet rows and columns it zeroes in place."""
-        S *= self.free[:, :, None] & self.free[:, None, :]
+        self.clear_fixed(S)
         return _scatter(self.element_dofs, self.element_dofs, S,
                         (self.ndof, self.ndof), sps.csc_matrix)
 
+    def apply(self, S, x):
+        """sum_K S_K x_K over the element blocks S, whose Dirichlet rows and
+        columns are zero, for a skeleton vector x."""
+        y = (S @ x[self.element_dofs][:, :, None]).ravel()
+        sums = lambda part: np.bincount(self.element_dofs.ravel(), part, self.ndof)
+        return sums(y.real) + 1j * sums(y.imag) if np.iscomplexobj(y) else sums(y)
+
 
 def factor_skeleton(matrix, name):
-    """Sparse LU of a matrix as it is numbered: a skeleton or uncondensed
-    system in the mesh's nested-dissection face order, or a mass matrix
+    """Sparse LU of a matrix as it is numbered: a transient skeleton or an
+    uncondensed system in the mesh's nested-dissection face order, a skeleton
+    matrix as a test reference, or a mass matrix
     block-diagonal per element, whose natural order adds no fill.
 
     SymmetricMode with the pivot threshold _DIAG_PIVOT_THRESH takes the
@@ -160,6 +183,110 @@ def direct_solve(matrix, rhs, name):
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(f"{name} did not converge (relative residual {residual:.3e})")
     return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz), "residual": float(residual)}
+
+
+def _extend_add(F, U, p, nFd):
+    """F[P, P] += U, with P the dofs of the faces at positions p of F, nFd
+    dofs per face: one slice per run of consecutive positions."""
+    starts = np.flatnonzero(np.diff(p, prepend=-2) != 1)
+    runs = [(slice(p[a] * nFd, (p[a] + b - a) * nFd), slice(a * nFd, b * nFd))
+            for a, b in zip(starts, np.append(starts[1:], len(p)))]
+    for cols, ucols in runs:
+        for rows, urows in runs:
+            F[rows, cols] += U[urows, ucols]
+
+
+class FrontFactor:
+    """Multifrontal LU of the skeleton matrix sum_K S_K over the mesh's
+    DissectionTree, assembled straight from the element blocks S (ne, 4 nFd,
+    4 nFd), whose Dirichlet rows and columns are zero.
+
+    The index maps are kept at face granularity, in the skeleton face
+    numbering of skel.active: node i eliminates the skeleton faces
+    own[i]:own[i + 1], and its dense front also spans its update faces
+    update[i], sorted and all after own[i + 1]. A leaf's front starts from its
+    elements' blocks, and every node's takes the extend-add of its children's
+    updates. With F11 the own rows and columns, getrf factors F11, getrs
+    forms W = F11^-1 F12, and gemm the update F22 - F21 W for the parent;
+    only LU(F11), its pivots and W are kept (fill counts their entries). The
+    matrix is (complex) symmetric, so F21 = W^T F11 and the forward sweep
+    applies W^T. Fronts are Fortran-ordered and go to BLAS and LAPACK as
+    they are: numpy products on strided views of C-ordered fronts took the
+    n=4 k=2 factor from 0.2 to 2.6 s at two BLAS threads. Raises
+    SingularSystemError on an exactly zero pivot."""
+
+    def __init__(self, mesh, skel, S):
+        tree, nFd = mesh.dissection, skel.nFd
+        face = np.full(mesh.num_faces, -1)      # skeleton face of each face, -1 on Dirichlet
+        face[skel.active] = np.arange(len(skel.active))
+        self.nFd = nFd
+        self.own = np.searchsorted(skel.active, tree.face_bounds)
+        self.update, self.factors, self.fill = [], [], 0
+        children = [[] for _ in tree.parent]
+        for i, p in enumerate(tree.parent):
+            if p >= 0:
+                children[p].append(i)
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=S.dtype)
+        gemm, = get_blas_funcs(("gemm",), dtype=S.dtype)
+        # S4[e, f, g] is the (nFd, nFd) block of local faces f and g of element e
+        S4 = S.reshape(len(S), 4, nFd, 4, nFd).transpose(0, 1, 3, 2, 4)
+        updates = {}
+        for i, kids in enumerate(children):
+            elements = tree.elements[tree.element_bounds[i]:tree.element_bounds[i + 1]]
+            faces = face[mesh.element_faces[elements]]
+            reach = np.concatenate([faces.ravel()] + [self.update[c] for c in kids])
+            self.update.append(np.unique(reach[reach >= self.own[i + 1]]))
+            own = self.own[i + 1] - self.own[i]
+            nf = own + len(self.update[i])
+            n1, n = own * nFd, nf * nFd
+            F = np.zeros((n, n), S.dtype, order="F")
+            # a leaf's blocks, pair by pair of free faces, added into the
+            # (nFd, nf, nFd, nf) view of F, whose [a, p, b, q] is F[p nFd + a, q nFd + b]
+            e, f, g = np.nonzero((faces >= 0)[:, :, None] & (faces >= 0)[:, None, :])
+            np.add.at(F.reshape((nFd, nf, nFd, nf), order="F"),
+                      (slice(None), self._positions(i, faces[e, f]),
+                       slice(None), self._positions(i, faces[e, g])), S4[elements[e], f, g])
+            for c in kids:
+                _extend_add(F, updates.pop(c), self._positions(i, self.update[c]), nFd)
+            if n1 > 0:
+                lu, piv, info = getrf(F[:n1, :n1], overwrite_a=True)
+                if info > 0:
+                    raise SingularSystemError(f"skeleton solve failed: zero pivot in the "
+                                              f"front of dissection node {i}")
+                W = getrs(lu, piv, F[:n1, n1:])[0]
+                self.factors.append((i, lu, piv, W))
+                self.fill += lu.size + W.size
+                # BLAS refuses empty operands
+                F = gemm(-1.0, F[n1:, :n1], W, 1.0, F[n1:, n1:], overwrite_c=True) \
+                    if n > n1 else F[n1:, n1:]
+            updates[i] = F   # the Schur complement over update[i]
+        self.dtype, self._getrs = S.dtype, getrs
+        self._gemv = get_blas_funcs("gemv", dtype=S.dtype)
+
+    def _positions(self, i, faces):
+        """Front positions at node i of skeleton faces, own faces first."""
+        lo, hi = self.own[i], self.own[i + 1]
+        return np.where(faces < hi, faces - lo, hi - lo + np.searchsorted(self.update[i], faces))
+
+    def _dofs(self, faces):
+        """Skeleton dofs of skeleton faces."""
+        return (faces[:, None] * self.nFd + np.arange(self.nFd)).ravel()
+
+    def solve(self, b):
+        """x with sum_K S_K x_K = b, by a forward sweep over the tree in
+        postorder and a backward one in reverse."""
+        x = np.array(b, dtype=np.result_type(b, self.dtype))
+        own = lambda i: slice(self.own[i] * self.nFd, self.own[i + 1] * self.nFd)
+        for i, lu, piv, W in self.factors:
+            if W.size:
+                x[self._dofs(self.update[i])] -= self._gemv(1.0, W, x[own(i)], trans=1)
+        for i, lu, piv, W in reversed(self.factors):
+            x1 = self._getrs(lu, piv, x[own(i)])[0]
+            if W.size:
+                x1 = self._gemv(-1.0, W, x[self._dofs(self.update[i])], 1.0, x1,
+                                overwrite_y=True)
+            x[own(i)] = x1
+        return x
 
 
 @dataclass(frozen=True)
@@ -247,10 +374,12 @@ class HybridSystem:
     """Condensed skeleton system together with the local solvers that
     recover the interior unknowns from its solution.
 
-    matrix (CSC, numbered by skeleton), rhs and interior take the problem's
-    dtype (assemble_hybrid): float64 for a real alpha, no impedance face and
-    real data, complex otherwise; solvers take the dtype of alpha."""
-    matrix: sps.csc_matrix
+    The skeleton matrix is the sum of the element blocks; matrix scatters it
+    (CSC, numbered by skeleton) when first read, and no solve reads it.
+    blocks, rhs and interior take the problem's dtype (assemble_hybrid):
+    float64 for a real alpha, no impedance face and real data, complex
+    otherwise; solvers take the dtype of alpha."""
+    blocks: np.ndarray            # (ne, 4 nFd, 4 nFd) S_K, zero on Dirichlet rows and columns
     rhs: np.ndarray
     skeleton: SkeletonMap
     dirichlet_values: np.ndarray  # (nfaces, 3, nF), zero off Dirichlet faces
@@ -260,6 +389,10 @@ class HybridSystem:
     solvers: np.ndarray           # (ne, nS+nW3, nM) C^-1 B_in per element
     interior: np.ndarray          # (ne, nS+nW3) C^-1 [0; f] per element
     diagnostics: dict             # plain numbers, completed by solve_skeleton
+
+    @cached_property
+    def matrix(self):
+        return self.skeleton.matrix(self.blocks)
 
 
 def assemble_hybrid(disc, material, data, variant):
@@ -310,27 +443,42 @@ def assemble_hybrid(disc, material, data, variant):
     traces = trace_dofs(mesh, nFd).reshape(ne, -1)
     loads = (loads - (S @ dir_values.ravel()[traces][:, :, None])[:, :, 0]) * skel.free
     S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]   # one element per impedance face
-    matrix = skel.matrix(S)
+    skel.clear_fixed(S)
     rhs = g[skel.dofs].astype(dtype, copy=False)
     np.add.at(rhs, skel.element_dofs, loads)
-    diagnostics = {"condense_s": condense_s, "skeleton_nnz": int(matrix.nnz),
+    # face pairs of the pattern: each face with itself, and two faces of an
+    # element, which share no other element
+    free_faces = skel.free[:, ::nFd].sum(axis=1)
+    pattern = len(skel.active) + int((free_faces * (free_faces - 1)).sum())
+    diagnostics = {"condense_s": condense_s, "skeleton_nnz": pattern * nFd ** 2,
                    "local_cond_min": float(cond.min()),
                    "local_cond_median": float(np.median(cond)),
                    "local_cond_max": float(cond.max()),
                    "flagged_elements": int(flags.sum())}
-    return HybridSystem(matrix, rhs, skel, dir_values, data.kappa, variant,
+    return HybridSystem(S, rhs, skel, dir_values, data.kappa, variant,
                         disc, X, z, diagnostics)
 
 
 def solve_skeleton(system):
-    """Sparse direct solve of the condensed system; returns (nfaces, 3, nF).
+    """Multifrontal direct solve of the condensed system from its element
+    blocks (FrontFactor); returns (nfaces, 3, nF).
 
-    Solves in the system's dtype by direct_solve, and adds its factor time
-    (factor_s), LU fill (nonzeros of L and U) and relative residual
-    (skeleton_residual) to system.diagnostics."""
-    x, meta = direct_solve(system.matrix, system.rhs, "skeleton solve")
-    system.diagnostics.update(factor_s=meta["factor_s"], lu_fill=meta["lu_fill"],
-                              skeleton_residual=meta["residual"])
+    Solves in the system's dtype and adds the front factor's time (factor_s),
+    its stored entries (lu_fill) and the relative residual
+    ||sum_K S_K x_K - b|| / ||b|| (skeleton_residual), summed element by
+    element, to system.diagnostics. Raises SingularSystemError naming the
+    skeleton solve on a zero pivot or a residual above _RESIDUAL_TOL."""
+    skel, b = system.skeleton, system.rhs
+    t0 = time.perf_counter()
+    fronts = FrontFactor(system.disc.mesh, skel, system.blocks)
+    factor_s = time.perf_counter() - t0
+    x = fronts.solve(b)
+    residual = np.linalg.norm(skel.apply(system.blocks, x) - b) / max(np.linalg.norm(b), 1e-300)
+    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
+        raise SingularSystemError(f"skeleton solve did not converge "
+                                  f"(relative residual {residual:.3e})")
+    system.diagnostics.update(factor_s=factor_s, lu_fill=int(fronts.fill),
+                              skeleton_residual=float(residual))
     uhat = system.dirichlet_values.astype(x.dtype)
     uhat[system.skeleton.active] = x.reshape(-1, *uhat.shape[1:])
     return uhat
@@ -381,9 +529,12 @@ def _check_solvable(mesh, kappa):
 def solve_time_harmonic(disc, material, data, variant):
     """Assemble, solve and reconstruct. Returns (solution, info dict).
 
-    info holds the sizes, phase times (condense_s; factor_s: skeleton factor),
-    skeleton nonzeros, the skeleton solve's relative residual and LU fill,
-    the range of cond(C, 1) and the number of flagged elements.
+    info holds the sizes, phase times (condense_s: local condensation;
+    factor_s: the front factor of the skeleton system), skeleton_nnz (the
+    face-block pattern: nFd^2 entries per pair of skeleton faces on a common
+    element, each face with itself included), the skeleton solve's relative
+    residual, lu_fill (the entries the front factor stores: LU(F11) and W of
+    every front), the range of cond(C, 1) and the number of flagged elements.
     Raises ValueError for a static pure-traction problem."""
     _check_solvable(disc.mesh, data.kappa)
     t0 = time.perf_counter()

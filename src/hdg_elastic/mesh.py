@@ -4,9 +4,11 @@ The unit cube is split into n^3 congruent subcubes, each subdivided into six
 tetrahedra sharing the subcube's main diagonal (Kuhn split), which makes the
 family nested under refinement. The skeleton is one table of face arrays on
 the Mesh, a row per sorted global vertex triple, numbered at build in the
-order of dissection_order that every global system is factored in; the stored
-unit normal is the one induced by that vertex order, and each element records
-in element_face_signs a +/-1 orientation of its faces relative to it.
+nested-dissection order of dissection() that every global system is factored
+in; the stored unit normal is the one induced by that vertex order, and each
+element records in element_face_signs a +/-1 orientation of its faces
+relative to it. The Mesh keeps the tree of that dissection, over which the
+skeleton solve factors its fronts.
 """
 
 from dataclasses import dataclass, replace
@@ -32,6 +34,24 @@ class BoundaryTag(IntEnum):
     IMPEDANCE = 3
 
 
+# a dissection subtree of at most this many elements is one leaf
+_LEAF_ELEMENTS = 4
+
+
+@dataclass(frozen=True)
+class DissectionTree:
+    """The separator tree of dissection(), nodes in postorder (children
+    before their parent, the root last). Node i owns the faces
+    face_bounds[i]:face_bounds[i + 1], in the face numbering of a built mesh:
+    a separator, or all faces of a leaf. A leaf holds the elements
+    elements[element_bounds[i]:element_bounds[i + 1]], an inner node none.
+    The faces of a subtree are one contiguous range that ends with its root's."""
+    parent: np.ndarray          # (nn,) parent node, -1 at the root
+    face_bounds: np.ndarray     # (nn + 1,)
+    element_bounds: np.ndarray  # (nn + 1,)
+    elements: np.ndarray        # (ne,) leaf elements, leaf by leaf
+
+
 @dataclass(frozen=True)
 class Mesh:
     vertices: np.ndarray            # (nv, 3)
@@ -43,6 +63,7 @@ class Mesh:
     face_normals: np.ndarray        # (nf, 3) unit normals of the sorted vertex order
     face_areas: np.ndarray          # (nf,)
     face_tags: np.ndarray           # (nf,) BoundaryTag values
+    dissection: DissectionTree = None  # of the face numbering, set at build
 
     @property
     def num_elements(self):
@@ -111,9 +132,10 @@ def _finish_mesh(vertices, elements):
     flip = np.linalg.det(v[:, 1:] - v[:, :1]) < 0
     elements[flip, 2:] = elements[flip, 2:][:, ::-1]
     mesh = Mesh(vertices, elements, **_build_faces(vertices, elements))
-    order = dissection_order(mesh)   # the faces are numbered in it from here on
-    return replace(mesh, element_faces=np.argsort(order)[mesh.element_faces], **{
-        name: getattr(mesh, name)[order] for name in vars(mesh) if name.startswith("face_")})
+    order, tree = dissection(mesh)   # the faces are numbered in it from here on
+    return replace(mesh, element_faces=np.argsort(order)[mesh.element_faces], dissection=tree,
+                   **{name: getattr(mesh, name)[order]
+                      for name in vars(mesh) if name.startswith("face_")})
 
 
 def build_structured_cube(n):
@@ -160,24 +182,33 @@ def tag_boundary(mesh, config):
     return replace(mesh, face_tags=tags)
 
 
-def dissection_order(mesh):
-    """Nested-dissection order of the faces, each face index exactly once.
+def dissection(mesh):
+    """Nested-dissection order of the faces, each face index exactly once,
+    and its DissectionTree.
 
-    Bisects the elements recursively down to leaves of at most two, at the
-    cut rank t in [0.3 n, 0.7 n] of the centroid ranking along an axis that
-    minimizes (faces crossing the cut) n / min(t, n - t). The faces shared
-    by the two halves follow both halves. Uses only the element centroids
-    and face_elements; on a built mesh, already numbered so, it is arange."""
+    Bisects the elements recursively down to leaves of at most
+    _LEAF_ELEMENTS, at the cut rank t in [0.3 n, 0.7 n] of the centroid
+    ranking along an axis that minimizes (faces crossing the cut)
+    n / min(t, n - t). The faces shared by the two halves follow both halves.
+    Uses only the element centroids and face_elements; on a built mesh,
+    already numbered so, the order is arange."""
     ne = mesh.num_elements
     centroids = mesh.vertices[mesh.elements].mean(axis=1)
     # the two elements of each face; a boundary face names its owner twice
     face_elements = np.where(mesh.face_elements < 0, mesh.face_elements[:, :1], mesh.face_elements)
-    rank, axes, order = np.empty((3, ne), dtype=int), np.arange(3)[:, None], []
+    rank, axes = np.empty((3, ne), dtype=int), np.arange(3)[:, None]
+    order, leaves, parent = [], [], []
+
+    def node(faces, elements):
+        order.append(faces)
+        leaves.append(elements)
+        parent.append(-1)
+        return len(parent) - 1
 
     def dissect(elements, faces):
         n = len(elements)
-        if n <= 2:
-            return order.append(faces)
+        if n <= _LEAF_ELEMENTS:
+            return node(faces, elements)
         fe = face_elements[faces]
         ranked = elements[np.argsort(centroids[elements], axis=0, kind="stable")].T
         rank[axes, ranked] = np.arange(n)
@@ -190,12 +221,16 @@ def dissection_order(mesh):
         score = crossing[:, ts - 1] * n / np.minimum(ts, n - ts)
         axis, t = np.unravel_index(np.argmin(score), score.shape)
         side = rank[axis, fe] < ts[t]
-        dissect(ranked[axis, :ts[t]], faces[side.all(axis=1)])
-        dissect(ranked[axis, ts[t]:], faces[~side.any(axis=1)])
-        order.append(faces[side[:, 0] != side[:, 1]])
+        children = (dissect(ranked[axis, :ts[t]], faces[side.all(axis=1)]),
+                    dissect(ranked[axis, ts[t]:], faces[~side.any(axis=1)]))
+        separator = node(faces[side[:, 0] != side[:, 1]], elements[:0])
+        parent[children[0]] = parent[children[1]] = separator
+        return separator
 
     dissect(np.arange(ne), np.arange(mesh.num_faces))
-    return np.concatenate(order)
+    bounds = lambda parts: np.concatenate([[0], np.cumsum([len(p) for p in parts])])
+    tree = DissectionTree(np.array(parent), bounds(order), bounds(leaves), np.concatenate(leaves))
+    return np.concatenate(order), tree
 
 
 def save_mesh(path, mesh):

@@ -99,9 +99,9 @@ class SemidiscreteSystem:
         self.M = ops.M.tocsc()
         self.T11 = ops.T11
         self.N = ops.N[active]
-        # transposes built once: making the .T view costs more than its product
-        self._Dt, self._Nt = self.D.T.tocsr(), self.N.T.tocsr()
         self.T12 = ops.T12[:, active]
+        # transposes built once: making the .T view costs more than its product
+        self._Dt, self._Nt, self._T12t = (op.T.tocsr() for op in (self.D, self.N, self.T12))
         self.t22 = ops.t22[active]
 
         self._sign = {"accumulating": 1.0, "dissipative": -1.0}.get(flux)
@@ -122,7 +122,7 @@ class SemidiscreteSystem:
     def slave_conservative(self, w):
         """(s, m) solving the stress and transmission constraints for u = w
         (a vector, or a matrix of columns) on the static skeleton factor."""
-        m = self._slave_lu.solve(self.N @ self._A_lu.solve(self._Dt @ w) + self.T12.T @ w)
+        m = self._slave_lu.solve(self.N @ self._A_lu.solve(self._Dt @ w) + self._T12t @ w)
         return self.stress_from(w, m), m
 
     def _stiffness(self, w):
@@ -135,7 +135,7 @@ class SemidiscreteSystem:
         return self._A_lu.solve(self._Nt @ m - self._Dt @ u)
 
     def trace_rate(self, v, s):
-        return (self.T12.T @ v + self._sign * (self.N @ s)) / self.t22
+        return (self._T12t @ v + self._sign * (self.N @ s)) / self.t22
 
     # ---- energy ----
 

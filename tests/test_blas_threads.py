@@ -30,9 +30,11 @@ def blas_threads():
     return None
 """
 
+# argv: output path, flux variant, then n and k of the varcoeff solve
 SCRIPT = PRELUDE + r"""
 case = make_case("varcoeff", kappa=1.0)
-disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
+n, k = (int(a) for a in sys.argv[3:5])
+disc = Discretization(tag_boundary(build_structured_cube(n), "mixed"), k)
 sol, _ = solve_time_harmonic(disc, case.material, problem_data_from_case(case),
                              VARIANTS[sys.argv[2]])
 report = compute_errors(disc, case.material, case, sol)
@@ -60,13 +62,13 @@ print(json.dumps({"threads": blas_threads(), "errors": []}))
 """
 
 
-def _run(tmp_path, threads, variant, script=SCRIPT):
+def _run(tmp_path, threads, variant, script=SCRIPT, args=()):
     out = tmp_path / f"{variant}-threads{threads}.npz"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, str(out), variant], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(out), variant, *args], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if result["threads"] is not None:
@@ -75,16 +77,26 @@ def _run(tmp_path, threads, variant, script=SCRIPT):
         return result["errors"], {k: arrays[k] for k in arrays.files}
 
 
-# first_order factors a complex skeleton matrix, conservative a float64 one
-@pytest.mark.parametrize("variant", ["first_order", "conservative"])
-def test_solve_independent_of_blas_threads(tmp_path, variant):
-    errors1, fields1 = _run(tmp_path, 1, variant)
-    errors2, fields2 = _run(tmp_path, 2, variant)
+def _compare_solves(tmp_path, variant, n, k):
+    errors1, fields1 = _run(tmp_path, 1, variant, args=(str(n), str(k)))
+    errors2, fields2 = _run(tmp_path, 2, variant, args=(str(n), str(k)))
     for a, b in zip(errors1, errors2):
         assert abs(a - b) <= 1e-12 * abs(a)
     for name, a in fields1.items():
         b = fields2[name]
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), name
+
+
+# first_order factors a complex skeleton matrix, conservative a float64 one
+@pytest.mark.parametrize("variant", ["first_order", "conservative"])
+def test_solve_independent_of_blas_threads(tmp_path, variant):
+    _compare_solves(tmp_path, variant, 2, 1)
+
+
+def test_front_kernels_independent_of_blas_threads(tmp_path):
+    # the largest skeleton front at n=3 k=2 has 756 dofs, enough for
+    # OpenBLAS to thread its getrf, getrs and gemm
+    _compare_solves(tmp_path, "conservative", 3, 2)
 
 
 @pytest.mark.parametrize("flux", ["conservative", "dissipative"])

@@ -25,7 +25,7 @@ from hdg_elastic.global_system import (SkeletonMap, boundary_data, global_operat
 from hdg_elastic.local_ops import (assemble_local_blocks, block_bytes, condense_batch,
                                    element_batches, element_block_batches,
                                    element_blocks)
-from hdg_elastic.mesh import dissection_order
+from hdg_elastic.mesh import dissection
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -157,8 +157,8 @@ def test_flux_residual_needs_no_skeleton_order(monkeypatch):
     def no_order(mesh):
         raise AssertionError("the skeleton was ordered after mesh build")
 
-    assert not hasattr(global_system, "dissection_order")
-    monkeypatch.setattr(mesh_module, "dissection_order", no_order)
+    assert not hasattr(global_system, "dissection")
+    monkeypatch.setattr(mesh_module, "dissection", no_order)
     assert flux_residual(disc, case.material, data, variant, sol) == expected
     hybrid, _ = solve_time_harmonic(disc, case.material, data, variant)
     monolithic = solve_monolithic(disc, case.material, data, variant)
@@ -412,7 +412,7 @@ def test_singular_monolithic_factor_is_refused_without_crashing():
 def test_skeleton_map_follows_dissection_order():
     mesh = tag_boundary(build_structured_cube(2), "mixed")
     skel = SkeletonMap(mesh, 9)
-    rank = np.argsort(dissection_order(mesh))
+    rank = np.argsort(dissection(mesh)[0])
     assert np.all(np.diff(rank[skel.active]) > 0)
     free = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
     np.testing.assert_array_equal(np.sort(skel.active), free)
@@ -446,7 +446,7 @@ def _all_faces_skeleton_system(disc, material, data, variant):
     np.add.at(rhs, dofs, loads)
     active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
     kept = (active[:, None] * nFd + np.arange(nFd)).ravel()
-    order = dissection_order(mesh)
+    order = dissection(mesh)[0]
     faces = np.searchsorted(active, order[np.isin(order, active)])
     perm = (faces[:, None] * nFd + np.arange(nFd)).ravel()
     return full[kept][:, kept][perm][:, perm], rhs[kept][perm]

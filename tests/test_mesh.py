@@ -8,7 +8,7 @@ import pytest
 
 from hdg_elastic import (BoundaryTag, build_structured_cube, load_mesh,
                          outward_normal, save_mesh, tag_boundary)
-from hdg_elastic.mesh import dissection_order
+from hdg_elastic.mesh import dissection
 
 
 def element_volume(mesh, e):
@@ -206,10 +206,44 @@ def jittered_cube(path, n=3):
 
 def test_dissection_order_names_each_face_once(tmp_path):
     for mesh in (build_structured_cube(3), jittered_cube(tmp_path / "jittered.txt")):
-        order = dissection_order(mesh)
+        order = dissection(mesh)[0]
         assert np.array_equal(np.sort(order), np.arange(mesh.num_faces))
         # the mesh is numbered in this order at build, so it is idempotent
         assert np.array_equal(order, np.arange(mesh.num_faces))
+
+
+def test_dissection_tree(tmp_path):
+    for mesh in (build_structured_cube(3), jittered_cube(tmp_path / "jittered.txt"),
+                 tag_boundary(build_structured_cube(2), "mixed")):
+        tree = mesh.dissection
+        # the tree of a built mesh is the one its numbering gives again
+        again = dissection(mesh)[1]
+        for name in ("parent", "face_bounds", "element_bounds", "elements"):
+            assert np.array_equal(getattr(again, name), getattr(tree, name)), name
+        nn = len(tree.parent)
+        # postorder: every parent after its children, one root, last
+        assert np.flatnonzero(tree.parent < 0).tolist() == [nn - 1]
+        assert np.all(tree.parent[:-1] > np.arange(nn - 1))
+        assert tree.face_bounds[0] == 0 and tree.face_bounds[-1] == mesh.num_faces
+        assert np.all(np.diff(tree.face_bounds) >= 0)
+        assert np.array_equal(np.sort(tree.elements), np.arange(mesh.num_elements))
+        leaf_size = np.diff(tree.element_bounds)
+        kids = np.bincount(tree.parent[:-1], minlength=nn)
+        assert np.all((leaf_size == 0) == (kids == 2))
+        assert np.all((leaf_size >= 1) == (kids == 0))
+        assert leaf_size.max() <= 4
+        # elements and faces of each subtree; its faces form one range that
+        # ends with its root's, and a node owns the faces of its subtree's
+        # elements that no child subtree holds
+        elements, first = [None] * nn, np.zeros(nn, int)
+        for i in range(nn):
+            children = np.flatnonzero(tree.parent == i)
+            own = tree.elements[tree.element_bounds[i]:tree.element_bounds[i + 1]]
+            elements[i] = np.concatenate([own] + [elements[c] for c in children])
+            first[i] = min([tree.face_bounds[i]] + [first[c] for c in children])
+            held = np.isin(mesh.face_elements, np.append(elements[i], -1)).all(axis=1)
+            assert np.array_equal(np.flatnonzero(held),
+                                  np.arange(first[i], tree.face_bounds[i + 1]))
 
 
 def wall_axis(mesh, fi):
@@ -240,7 +274,7 @@ def test_face_table_contract(tmp_path, kind):
     # sorted triples, one row each, numbered in the dissection order
     assert np.all(np.diff(mesh.face_vertices, axis=1) > 0)
     assert len({tuple(t) for t in mesh.face_vertices.tolist()}) == mesh.num_faces
-    assert np.array_equal(dissection_order(mesh), np.arange(mesh.num_faces))
+    assert np.array_equal(dissection(mesh)[0], np.arange(mesh.num_faces))
     for fi, (owner, neighbor) in enumerate(mesh.face_elements):
         for e in (owner, neighbor) if neighbor >= 0 else (owner,):
             assert fi in mesh.element_faces[e]
