@@ -107,7 +107,7 @@ def energy_identity_sides(disc, material, case, solution):
     lhs = np.sum(np.abs(e_mhat[mesh.face_tags == BoundaryTag.IMPEDANCE]) ** 2) + 0.0j
     rhs = 0.0
     # doubles per volume and face point: exact, projected and discrete fields
-    # with their errors, the pointwise compliance, temporaries, basis values
+    # with their errors, the moduli, temporaries, basis values
     point_bytes = 8 * (len(disc.vol_rule.weights) * (250 + disc.nV + disc.nW)
                        + 4 * disc.face_weights.shape[1] * (100 + disc.nV + disc.nW + disc.nF))
     for batch in element_batches(mesh.num_elements, point_bytes + block_bytes(disc)):
@@ -121,10 +121,14 @@ def energy_identity_sides(disc, material, case, solution):
         e_u = proj_u - solution.u[batch]
         es, eu = e_s.reshape(len(batch), -1, 1), e_u.reshape(len(batch), -1, 1)
         lhs += 1j * kappa * (np.vdot(es, b.A @ es) - np.vdot(eu, b.M @ eu))
+        # (A v, w)_F = (v, w)_F / (2 mu) + (1/(2 mu + 3 lam) - 1/(2 mu)) tr v tr w / 3
+        v, w = at(proj_s, phi) - s_ex, np.conj(at(e_s, phi))
+        lam, mu = material.lam(pts), material.mu(pts)
+        a_vw = ((v * w) @ FROBENIUS_WEIGHTS / (2.0 * mu)
+                + (1.0 / (2.0 * mu + 3.0 * lam) - 1.0 / (2.0 * mu)) / 3.0
+                * v[..., :3].sum(axis=-1) * w[..., :3].sum(axis=-1))
         rhs += 1j * kappa * (
-            np.einsum("bq,c,bqcd,bqd,bqc->", wts, FROBENIUS_WEIGHTS,
-                      material.compliance_packed(pts), at(proj_s, phi) - s_ex,
-                      np.conj(at(e_s, phi)), optimize=True)
+            np.sum(wts * a_vw)
             - np.einsum("bq,bqd,bqd->", wts * material.rho(pts),
                         np.conj(at(proj_u, psi) - u_ex), at(e_u, psi)))
 

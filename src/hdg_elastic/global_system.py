@@ -206,14 +206,19 @@ class FrontFactor:
     own[i]:own[i + 1], and its dense front also spans its update faces
     update[i], sorted and all after own[i + 1]. A leaf's front starts from its
     elements' blocks, and every node's takes the extend-add of its children's
-    updates. With F11 the own rows and columns, getrf factors F11, getrs
-    forms W = F11^-1 F12, and gemm the update F22 - F21 W for the parent;
-    only LU(F11), its pivots and W are kept (fill counts their entries). The
-    matrix is (complex) symmetric, so F21 = W^T F11 and the forward sweep
-    applies W^T. Fronts are Fortran-ordered and go to BLAS and LAPACK as
-    they are: numpy products on strided views of C-ordered fronts took the
-    n=4 k=2 factor from 0.2 to 2.6 s at two BLAS threads. Raises
-    SingularSystemError on an exactly zero pivot."""
+    updates. With F11 the own rows and columns, getrf factors F11, getri
+    inverts it from its LU and one gemm forms W = F11^-1 F12, and another the
+    update F22 - F21 W for the parent; the root has no update and inverts
+    nothing. On these shapes OpenBLAS runs getrs and trsm at a fraction of
+    gemm's rate, and the inverse from the LU factors is as stable as the
+    triangular solves in practice (Du Croz & Higham, IMA J. Numer. Anal. 12,
+    1992). Only LU(F11), its pivots and W are kept (fill counts their
+    entries); the solve sweeps use LU(F11) through getrs. The matrix is
+    (complex) symmetric, so F21 = W^T F11 and the forward sweep applies W^T.
+    Fronts are Fortran-ordered and go to BLAS and LAPACK as they are: numpy
+    products on strided views of C-ordered fronts took the n=4 k=2 factor
+    from 0.2 to 2.6 s at two BLAS threads. Raises SingularSystemError on an
+    exactly zero pivot."""
 
     def __init__(self, mesh, skel, S):
         tree, nFd = mesh.dissection, skel.nFd
@@ -226,7 +231,7 @@ class FrontFactor:
         for i, p in enumerate(tree.parent):
             if p >= 0:
                 children[p].append(i)
-        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=S.dtype)
+        getrf, getri, getrs = get_lapack_funcs(("getrf", "getri", "getrs"), dtype=S.dtype)
         gemm, = get_blas_funcs(("gemm",), dtype=S.dtype)
         # S4[e, f, g] is the (nFd, nFd) block of local faces f and g of element e
         S4 = S.reshape(len(S), 4, nFd, 4, nFd).transpose(0, 1, 3, 2, 4)
@@ -253,12 +258,14 @@ class FrontFactor:
                 if info > 0:
                     raise SingularSystemError(f"skeleton solve failed: zero pivot in the "
                                               f"front of dissection node {i}")
-                W = getrs(lu, piv, F[:n1, n1:])[0]
+                # BLAS refuses empty operands
+                if n > n1:
+                    W = gemm(1.0, getri(lu, piv)[0], F[:n1, n1:])
+                    F = gemm(-1.0, F[n1:, :n1], W, 1.0, F[n1:, n1:], overwrite_c=True)
+                else:
+                    W, F = F[:n1, n1:], F[n1:, n1:]
                 self.factors.append((i, lu, piv, W))
                 self.fill += lu.size + W.size
-                # BLAS refuses empty operands
-                F = gemm(-1.0, F[n1:, :n1], W, 1.0, F[n1:, n1:], overwrite_c=True) \
-                    if n > n1 else F[n1:, n1:]
             updates[i] = F   # the Schur complement over update[i]
         self.dtype, self._getrs = S.dtype, getrs
         self._gemv = get_blas_funcs("gemv", dtype=S.dtype)
@@ -274,7 +281,10 @@ class FrontFactor:
 
     def solve(self, b):
         """x with sum_K S_K x_K = b, by a forward sweep over the tree in
-        postorder and a backward one in reverse."""
+        postorder and a backward one in reverse. A real factor solves the real
+        and imaginary parts of a complex b apart."""
+        if np.iscomplexobj(b) and self.dtype.kind != "c":
+            return self.solve(np.real(b)) + 1j * self.solve(np.imag(b))
         x = np.array(b, dtype=np.result_type(b, self.dtype))
         own = lambda i: slice(self.own[i] * self.nFd, self.own[i + 1] * self.nFd)
         for i, lu, piv, W in self.factors:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .materials import FROBENIUS_WEIGHTS, SYM_MATS
+from .materials import SYM_MATS
 
 _COND_LIMIT = 1e13
 
@@ -79,13 +79,16 @@ def element_batches(ne, bytes_per_element):
 
 def block_bytes(disc):
     """Upper estimate of the working memory per element of the block
-    quadrature and condense_batch: the real blocks, A^-1, P_D and P_N, and,
-    counted complex, Sigma, its inverse and the larger set of the norm (Y, Y^T,
-    Q, A^-1 + Q) or of the solvers (R and two temporaries, X, P_D X_u, S)."""
+    quadrature and condense_batch: the real blocks, the dense A^-1 of the norm,
+    P_D and P_N, and, counted complex, Sigma, its inverse and the larger set of
+    the norm (Y, Y^T, Q, A^-1 + Q) or of the solvers (R and two temporaries, X,
+    P_D X_u, S). At a high quadrature exactness the points bound it instead:
+    144 doubles per volume point cover the load moments, whose jets of the load
+    keep about 100, and the block quadrature, about 35."""
     nS, nW3, nM = 6 * disc.nV, 3 * disc.nW, 12 * disc.nF
     real = 2 * nS * (nS + nW3 + nM) + 2 * nW3 * (nW3 + nM)
     cplx = 2 * nW3 * nW3 + max(2 * nS * (nS + nW3), (2 * nS + 4 * nW3 + nM) * nM)
-    return 8 * max(4 * 36 * len(disc.vol_rule.weights), real + 2 * cplx)
+    return 8 * max(144 * len(disc.vol_rule.weights), real + 2 * cplx)
 
 
 @dataclass
@@ -93,7 +96,8 @@ class LocalBlocks:
     """Real blocks of one element, or of a batch of elements with a leading
     element axis on every array field (element, tau, h and wave_bound too)."""
     element: int
-    A: np.ndarray          # (6nV, 6nV) compliance mass
+    A: np.ndarray          # (6nV, 6nV) compliance mass, laid out from A_masses
+    A_masses: np.ndarray   # (2, nV, nV) M[1/(2 mu)] and M[1/(2 mu + 3 lam)], which fix A
     D: np.ndarray          # (3nW, 6nV) divergence coupling
     M: np.ndarray          # (3nW, 3nW) density mass
     T11: np.ndarray        # (3nW, 3nW) tau <P_M u, P_M w>
@@ -120,6 +124,36 @@ def _kron3(blocks):
     return out.reshape(*lead, 3 * r, 3 * c)
 
 
+def _isotropic_layout(masses, shear):
+    """The (nb, 6nV, 6nV) matrix of an isotropic law on packed stresses from
+    the scalar masses (X_dev, X_vol) = masses[:, 0], masses[:, 1] (nb, nV, nV):
+    I_3 (x) X_dev + 1/3 11^T (x) (X_vol - X_dev) on the normal components and
+    shear * X_dev on each shear one. The compliance mass A is the layout of
+    (M_dev, M_vol) with shear 2, the Frobenius weight; A^-1 is the layout of
+    their inverses with shear 1/2."""
+    nb, nV = masses.shape[0], masses.shape[-1]
+    x_dev = masses[:, 0]
+    out = np.zeros((nb, 6, nV, 6, nV))
+    out[:, :3, :, :3] = ((masses[:, 1] - x_dev) / 3.0)[:, None, :, None]
+    for c in range(6):
+        out[:, c, :, c] += x_dev if c < 3 else shear * x_dev
+    return out.reshape(nb, 6 * nV, 6 * nV)
+
+
+def compliance_rsolve(A_inv_masses, B):
+    """B A^-1 for a stack B (nb, r, 6nV), from the inverse masses (X_dev, X_vol)
+    (nb, 2, nV, nV): X_dev on every component, plus (X_vol - X_dev)/3 times the
+    sum of the normal components, halved on the shear ones. A is symmetric, so
+    the transpose of the result is A^-1 B^T."""
+    nb, nV = A_inv_masses.shape[0], A_inv_masses.shape[-1]
+    x_dev = A_inv_masses[:, 0]
+    B4 = np.ascontiguousarray(B).reshape(nb, -1, 6, nV)
+    out = (B4.reshape(nb, -1, nV) @ x_dev).reshape(B4.shape)
+    out[:, :, 3:] *= 0.5
+    out[:, :, :3] += (B4[:, :, :3].sum(axis=2) @ ((A_inv_masses[:, 1] - x_dev) / 3.0))[:, :, None]
+    return out.reshape(B.shape)
+
+
 def element_blocks(disc, material, elements):
     """Quadrature assembly of all real blocks for an array of elements.
 
@@ -127,6 +161,12 @@ def element_blocks(disc, material, elements):
     (stacked matmul), so an element's blocks are the same bits whatever batch
     it is assembled in. The volume blocks use the reference rule: the
     physical weights w det J_K and the basis scaling 1/sqrt(det J_K) cancel.
+
+    The law is isotropic, 1/(2 mu) on the deviator and 1/(2 mu + 3 lam) on the
+    trace (Arnold & Winther, Numer. Math. 92, 2002), so the compliance mass A
+    is fixed by two scalar-weighted mass matrices per element, A_masses =
+    (M[1/(2 mu)], M[1/(2 mu + 3 lam)]), one (nb, 2, nq) @ (nq, nV^2) product;
+    A is their layout (_isotropic_layout) and A^-1 that of their inverses.
 
     Raises ValueError when the material violates mu > 0, 3 lam + 2 mu > 0 or
     rho > 0 at a quadrature point of an element."""
@@ -139,12 +179,13 @@ def element_blocks(disc, material, elements):
     pts = disc.element_points(elements)                          # (nb, nq, 3)
     material.validate(pts)
 
-    # A[a i, b j] = sum_q w_q W_a A_ab(x_q) phi_i phi_j
-    wa6 = FROBENIUS_WEIGHTS[:, None] * material.compliance_packed(pts)
+    # M[c][i, j] = sum_q w_q c(x_q) phi_i phi_j for c = 1/(2 mu), 1/(2 mu + 3 lam)
+    lam, mu = material.lam(pts), material.mu(pts)
+    coef = np.stack([1.0 / (2.0 * mu), 1.0 / (2.0 * mu + 3.0 * lam)], axis=1)
     phiphi = (wq[:, None, None] * disc.phi_ref[:, :, None]
               * disc.phi_ref[:, None, :]).reshape(len(wq), nV * nV)
-    A = (np.swapaxes(wa6.reshape(nb, -1, 36), 1, 2) @ phiphi)
-    A = A.reshape(nb, 6, 6, nV, nV).transpose(0, 1, 3, 2, 4).reshape(nb, nS, nS)
+    A_masses = (coef @ phiphi).reshape(nb, 2, nV, nV)
+    A = _isotropic_layout(A_masses, 2.0)
 
     # D[d j, c i] = sum_r (E_c J^-T)_{d r} sum_q w_q psi_j d_r phi_i
     psi_dphi = np.einsum("q,qj,qir->rji", wq, disc.psi_ref, disc.dphi_ref)
@@ -168,7 +209,7 @@ def element_blocks(disc, material, elements):
     T11 = tau[:, None, None] * _kron3((np.swapaxes(g, 2, 3) @ g).sum(axis=1))
 
     wave_bound = np.max(material.compliance_bound(pts) * material.rho(pts), axis=-1)
-    return LocalBlocks(elements, A, D, M, T11, N, G, tau, disc.h[elements],
+    return LocalBlocks(elements, A, A_masses, D, M, T11, N, G, tau, disc.h[elements],
                        nS, nW3, nFd, wave_bound)
 
 
@@ -184,7 +225,7 @@ def assemble_local_blocks(disc, material, e):
     Raises ValueError when the material violates mu > 0, 3 lam + 2 mu > 0 or
     rho > 0 at a quadrature point of the element."""
     b = element_blocks(disc, material, [e])
-    return LocalBlocks(e, b.A[0], b.D[0], b.M[0], b.T11[0], b.N[0], b.G[0],
+    return LocalBlocks(e, b.A[0], b.A_masses[0], b.D[0], b.M[0], b.T11[0], b.N[0], b.G[0],
                        float(b.tau[0]), float(b.h[0]), b.nS, b.nW3, b.nFd, float(b.wave_bound[0]))
 
 
@@ -256,12 +297,14 @@ def condense_batch(blocks, kappa2, alpha, f):
     blocks carry a leading element axis. f holds the load moments (nb, 3nW),
     or r loads per element (nb, 3nW, r), which add a trailing axis r to z and
     the loads. A is real, SPD and independent of (kappa2, alpha), so it is
-    eliminated first, in real arithmetic (P_D = A^-1 D^T, P_N = A^-1 N^T);
-    only the Schur complement Sigma = k^2 M - a T11 - D P_D (size 3nW) is
-    inverted, and no real block is promoted to complex. Sigma, R, X, S and
-    cond take the dtype of alpha: float64 for a real alpha, which halves the
-    memory and flops of the inverse and the products; z and the loads take
-    the dtype of f and Sigma together. With
+    eliminated first, in real arithmetic (P_D = A^-1 D^T, P_N = A^-1 N^T):
+    its inverse is applied block by block from the inverses of the two nV x nV
+    masses of A_masses (compliance_rsolve), and the dense A^-1 is laid out
+    only for the exact norm. Only the Schur complement Sigma = k^2 M - a T11 -
+    D P_D (size 3nW) is inverted whole, and no real block is promoted to
+    complex. Sigma, R, X, S and cond take the dtype of alpha: float64 for a
+    real alpha, which halves the memory and flops of the inverse and the
+    products; z and the loads take the dtype of f and Sigma together. With
     R = -a tau G^T - D P_N, X_u = Sigma^-1 R and z_u = Sigma^-1 f:
 
       S     (nb, nM, nM)  B_out X + a tau I = N P_N + R^T X_u + a tau I
@@ -274,9 +317,9 @@ def condense_batch(blocks, kappa2, alpha, f):
     nb, nS, nM = len(blocks.element), blocks.nS, blocks.nM
     N = blocks.N.reshape(nb, nM, nS)
     B = kappa2 * blocks.M - alpha * blocks.T11
-    Ainv = np.linalg.inv(blocks.A)
-    P_D = Ainv @ np.swapaxes(blocks.D, 1, 2)
-    P_N = Ainv @ np.swapaxes(N, 1, 2)
+    A_inv_masses = np.linalg.inv(blocks.A_masses)
+    P_D = np.swapaxes(compliance_rsolve(A_inv_masses, blocks.D), 1, 2)
+    P_N = np.swapaxes(compliance_rsolve(A_inv_masses, N), 1, 2)
     try:
         Sinv = np.linalg.inv(B - blocks.D @ P_D)
     except np.linalg.LinAlgError:
@@ -284,7 +327,7 @@ def condense_batch(blocks, kappa2, alpha, f):
     absD = np.abs(blocks.D)
     norm_C = np.maximum((np.abs(blocks.A).sum(axis=1) + absD.sum(axis=1)).max(axis=1),
                         (absD.sum(axis=2) + np.abs(B).sum(axis=1)).max(axis=1))
-    cond = norm_C * _inverse_norm1(Ainv, P_D, Sinv)
+    cond = norm_C * _inverse_norm1(_isotropic_layout(A_inv_masses, 0.5), P_D, Sinv)
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

@@ -6,13 +6,14 @@ dimension 2 and 3. One construction serves both: coordinate d of the cube
 the Jacobian of the collapse x_d = t_d prod_{e>d} (1 - t_e) onto the simplex,
 so the weights are the outer product of the 1D weights. m = exactness // 2 + 1
 points per coordinate integrate total degree <= exactness <= MAX_EXACTNESS.
+The 1D rules come from the three-term recurrence of the Jacobi polynomials
+by Golub & Welsch (Math. Comp. 23, 1969), with numpy alone.
 """
 
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 MAX_EXACTNESS = 40
 SIMPLEX_DIM = {"triangle": 2, "tetrahedron": 3}
@@ -27,10 +28,17 @@ class QuadratureRule:
 
 
 def _gauss01(n, alpha):
-    """n-point Gauss rule on [0,1] with weight (1-t)^alpha."""
-    x, w = roots_jacobi(n, alpha, 0.0)
-    # map [-1,1] -> [0,1]; weight picks up a 1/2^(alpha+1) factor
-    return (x + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+    """n-point Gauss rule on [0,1] with weight (1-t)^alpha: the nodes are the
+    eigenvalues of the Jacobi matrix of the monic orthogonal polynomials, and
+    the weights the squared first components of its unit eigenvectors times
+    the weight's mass 1/(alpha+1). The matrix is that of the Jacobi
+    polynomials P^(alpha, 0) on [-1,1], mapped by t = (x + 1)/2."""
+    j = np.arange(1, n)
+    s = 2.0 * j + alpha
+    diag = np.concatenate([[-alpha / (alpha + 2.0)], -alpha ** 2 / (s * (s + 2.0))])
+    off = 2.0 * j * (j + alpha) / (s * np.sqrt(s * s - 1.0))
+    t, vecs = np.linalg.eigh((np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + np.eye(n)) / 2.0)
+    return t, vecs[0] ** 2 / (alpha + 1.0)
 
 
 def simplex_rule(domain, exactness):

@@ -53,7 +53,7 @@ import numpy as np
 from .global_system import SkeletonMap, factor_skeleton, global_operators
 # unused here; perfbench/tracing.py wraps it through this module's binding
 from .local_ops import assemble_local_blocks  # noqa: F401
-from .local_ops import condense_batch, element_block_batches
+from .local_ops import compliance_rsolve, condense_batch, element_block_batches
 
 FLUXES = ("conservative", "accumulating", "dissipative")
 BETA = 1.0 / 3.0   # Newmark beta (gamma = 1/2); beta >= 1/4 is unconditionally stable
@@ -111,7 +111,7 @@ class SemidiscreteSystem:
             S = []
             for b in self._blocks:   # sum_K N_K A_K^-1 N_K^T + tau_K I
                 N = b.N.reshape(len(b.element), b.nM, b.nS)
-                S.append(N @ np.linalg.solve(b.A, np.swapaxes(N, 1, 2)))
+                S.append(compliance_rsolve(np.linalg.inv(b.A_masses), N) @ np.swapaxes(N, 1, 2))
                 S[-1].reshape(len(b.element), -1)[:, ::b.nM + 1] += b.tau[:, None]
             self._slave_lu = factor_skeleton(self.skeleton.matrix(np.concatenate(S)),
                                              f"{flux} flux: static slaving factor")

@@ -468,3 +468,18 @@ def test_skeleton_system_matches_all_faces_construction(name, bc, variant):
     assert system.matrix.nnz == matrix.nnz
     assert (system.matrix != matrix).nnz == 0
     assert np.abs(system.rhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+
+def test_real_front_factor_solves_complex_right_side():
+    # the real and imaginary parts are solved apart; none is dropped
+    case = make_case("varcoeff", kappa=1.3)
+    disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
+    system = assemble_hybrid(disc, case.material, problem_data_from_case(case),
+                             VARIANTS["conservative"])
+    lu = global_system.FrontFactor(disc.mesh, system.skeleton, system.blocks)
+    assert lu.dtype == np.float64
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(system.skeleton.ndof) + 1j * rng.standard_normal(system.skeleton.ndof)
+    x = lu.solve(b)
+    assert x.dtype == np.complex128
+    assert np.linalg.norm(system.matrix @ x - b) < 1e-12 * np.linalg.norm(b)

@@ -1,15 +1,22 @@
 """Simplex quadrature, orthonormal bases and the three L2 projections."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from hdg_elastic import (Discretization, SimplexBasis, build_structured_cube,
                          monomial_integral, simplex_rule, simplex_space_dim,
                          tag_boundary)
 from hdg_elastic.basis import monomial_exponents
-from hdg_elastic.quadrature import MAX_EXACTNESS
+from hdg_elastic.quadrature import MAX_EXACTNESS, _gauss01
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------- quadrature
@@ -60,6 +67,29 @@ def test_tri_xy_integral():
 
 def test_tri_monomials_exact():
     _check_monomials_exact("triangle", 2)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_gauss_jacobi_rule_matches_scipy(alpha):
+    # every 1D rule the simplex rules use: n = exactness // 2 + 1 <= 21
+    for n in range(1, MAX_EXACTNESS // 2 + 2):
+        x, w = roots_jacobi(n, alpha, 0.0)
+        t, v = _gauss01(n, alpha)
+        assert np.abs(t - (x + 1.0) / 2.0).max() < 1e-13, n
+        assert np.abs(v - w / 2.0 ** (alpha + 1)).max() < 1e-13, n
+
+
+def test_package_import_leaves_scipy_special_out():
+    script = ("import importlib, pkgutil, sys, hdg_elastic\n"
+              "for m in pkgutil.iter_modules(hdg_elastic.__path__):\n"
+              "    importlib.import_module('hdg_elastic.' + m.name)\n"
+              "print(sorted(k for k in sys.modules if k.startswith('scipy.special')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_unsupported_degree_rejected():
