@@ -141,19 +141,21 @@ class SkeletonMap:
         return _scatter(self.element_dofs, self.element_dofs, S,
                         (self.ndof, self.ndof), sps.csc_matrix)
 
+    def scatter(self, y):
+        """Sum of element-local skeleton vectors y (ne, 4 nFd), zero on Dirichlet traces."""
+        sums = lambda part: np.bincount(self.element_dofs.ravel(), part.ravel(), self.ndof)
+        return sums(y.real) + 1j * sums(y.imag) if np.iscomplexobj(y) else sums(y)
+
     def apply(self, S, x):
         """sum_K S_K x_K over the element blocks S, whose Dirichlet rows and
         columns are zero, for a skeleton vector x."""
-        y = (S @ x[self.element_dofs][:, :, None]).ravel()
-        sums = lambda part: np.bincount(self.element_dofs.ravel(), part, self.ndof)
-        return sums(y.real) + 1j * sums(y.imag) if np.iscomplexobj(y) else sums(y)
+        return self.scatter(S @ x[self.element_dofs][:, :, None])
 
 
 def factor_skeleton(matrix, name):
     """Sparse LU of a matrix as it is numbered: a transient skeleton or an
-    uncondensed system in the mesh's nested-dissection face order, a skeleton
-    matrix as a test reference, or a mass matrix
-    block-diagonal per element, whose natural order adds no fill.
+    uncondensed system in the mesh's nested-dissection face order, or a
+    skeleton matrix as a test reference.
 
     SymmetricMode with the pivot threshold _DIAG_PIVOT_THRESH takes the
     diagonal entry as pivot unless it is smaller than that fraction of the
@@ -161,8 +163,8 @@ def factor_skeleton(matrix, name):
     fill is the order's, also for an indefinite matrix. A failed factor
     raises SingularSystemError, naming what failed (name). An exactly
     singular matrix may instead factor with a tiny pivot: direct_solve's
-    residual check refuses its solution, while the time-domain factors (mass,
-    compliance, static slaving and step) are solved unchecked."""
+    residual check refuses its solution, while the time-domain factors
+    (static slaving and step) are solved unchecked."""
     try:
         return spla.splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH,
                          options=dict(SymmetricMode=True))
@@ -227,12 +229,13 @@ class FrontFactor:
         self.nFd = nFd
         self.own = np.searchsorted(skel.active, tree.face_bounds)
         self.update, self.factors, self.fill = [], [], 0
+        slot = np.empty(len(skel.active), int)   # front position at the current node
         children = [[] for _ in tree.parent]
         for i, p in enumerate(tree.parent):
             if p >= 0:
                 children[p].append(i)
-        getrf, getri, getrs = get_lapack_funcs(("getrf", "getri", "getrs"), dtype=S.dtype)
-        gemm, = get_blas_funcs(("gemm",), dtype=S.dtype)
+        getrf, getri, self._getrs = get_lapack_funcs(("getrf", "getri", "getrs"), dtype=S.dtype)
+        gemm, self._gemv = get_blas_funcs(("gemm", "gemv"), dtype=S.dtype)
         # S4[e, f, g] is the (nFd, nFd) block of local faces f and g of element e
         S4 = S.reshape(len(S), 4, nFd, 4, nFd).transpose(0, 1, 3, 2, 4)
         updates = {}
@@ -244,15 +247,17 @@ class FrontFactor:
             own = self.own[i + 1] - self.own[i]
             nf = own + len(self.update[i])
             n1, n = own * nFd, nf * nFd
+            slot[self.own[i]:self.own[i + 1]] = np.arange(own)
+            slot[self.update[i]] = np.arange(own, nf)
             F = np.zeros((n, n), S.dtype, order="F")
             # a leaf's blocks, pair by pair of free faces, added into the
             # (nFd, nf, nFd, nf) view of F, whose [a, p, b, q] is F[p nFd + a, q nFd + b]
             e, f, g = np.nonzero((faces >= 0)[:, :, None] & (faces >= 0)[:, None, :])
             np.add.at(F.reshape((nFd, nf, nFd, nf), order="F"),
-                      (slice(None), self._positions(i, faces[e, f]),
-                       slice(None), self._positions(i, faces[e, g])), S4[elements[e], f, g])
+                      (slice(None), slot[faces[e, f]], slice(None), slot[faces[e, g]]),
+                      S4[elements[e], f, g])
             for c in kids:
-                _extend_add(F, updates.pop(c), self._positions(i, self.update[c]), nFd)
+                _extend_add(F, updates.pop(c), slot[self.update[c]], nFd)
             if n1 > 0:
                 lu, piv, info = getrf(F[:n1, :n1], overwrite_a=True)
                 if info > 0:
@@ -267,13 +272,7 @@ class FrontFactor:
                 self.factors.append((i, lu, piv, W))
                 self.fill += lu.size + W.size
             updates[i] = F   # the Schur complement over update[i]
-        self.dtype, self._getrs = S.dtype, getrs
-        self._gemv = get_blas_funcs("gemv", dtype=S.dtype)
-
-    def _positions(self, i, faces):
-        """Front positions at node i of skeleton faces, own faces first."""
-        lo, hi = self.own[i], self.own[i + 1]
-        return np.where(faces < hi, faces - lo, hi - lo + np.searchsorted(self.update[i], faces))
+        self.dtype = S.dtype
 
     def _dofs(self, faces):
         """Skeleton dofs of skeleton faces."""
@@ -454,8 +453,7 @@ def assemble_hybrid(disc, material, data, variant):
     loads = (loads - (S @ dir_values.ravel()[traces][:, :, None])[:, :, 0]) * skel.free
     S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]   # one element per impedance face
     skel.clear_fixed(S)
-    rhs = g[skel.dofs].astype(dtype, copy=False)
-    np.add.at(rhs, skel.element_dofs, loads)
+    rhs = g[skel.dofs] + skel.scatter(loads)
     # face pairs of the pattern: each face with itself, and two faces of an
     # element, which share no other element
     free_faces = skel.free[:, ::nFd].sum(axis=1)

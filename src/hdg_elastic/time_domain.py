@@ -35,9 +35,10 @@ over the step, so its roundoff scales with the change, not with the state:
 The slaved (s, m) of the conservative flux solve the static skeleton system
   sum_K (N_K A_K^-1 N_K^T + tau_K I) m = (N A^-1 D^T + T12^T) u,
   s = A^-1 (N^T m - D^T u).
-Each skeleton matrix is factored once per step size, and M and A once, all
-by factor_skeleton; a step is one batched element load (with s0 for the
-trapezoidal rule), one skeleton solve and one batched displacement recovery.
+Each skeleton matrix is factored once per step size by factor_skeleton, and
+the block-diagonal M and A are inverted element by element; a step is one
+batched element load (with s0 for the trapezoidal rule), one skeleton solve
+and one batched displacement recovery. IMPEDANCE faces are refused.
 
 The real blocks are the global operators of the frequency-domain solver
 (global_system.global_operators), restricted to the trace dofs of the
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .global_system import SkeletonMap, factor_skeleton, global_operators
+from .mesh import BoundaryTag
 # unused here; perfbench/tracing.py wraps it through this module's binding
 from .local_ops import assemble_local_blocks  # noqa: F401
 from .local_ops import compliance_rsolve, condense_batch, element_block_batches
@@ -71,13 +73,10 @@ class TimeState:
 def initial_state(system, u0, v0):
     """Project initial displacement and velocity; traces start at P_M u0, P_M v0."""
     disc = system.disc
-    elements = np.arange(disc.mesh.num_elements)
-    u = disc.project_w(elements, u0).ravel()
-    v = disc.project_w(elements, v0).ravel()
+    u, v = (disc.project_w(np.arange(disc.mesh.num_elements), f).ravel() for f in (u0, v0))
     if system.flux == "conservative":
         return TimeState(0.0, u, v)
-    m = disc.project_face(system.skeleton.active, u0).ravel()
-    return TimeState(0.0, u, v, m)
+    return TimeState(0.0, u, v, disc.project_face(system.skeleton.active, u0).ravel())
 
 
 class SemidiscreteSystem:
@@ -87,6 +86,8 @@ class SemidiscreteSystem:
     def __init__(self, disc, material, flux):
         if flux not in FLUXES:
             raise ValueError(f"unknown flux {flux!r}; expected one of {FLUXES}")
+        if np.any(disc.mesh.face_tags == BoundaryTag.IMPEDANCE):
+            raise ValueError("IMPEDANCE face: the time domain has no impedance condition")
         self.disc = disc
         self.flux = flux
         self._blocks = element_block_batches(disc, material)
@@ -94,10 +95,7 @@ class SemidiscreteSystem:
         self.skeleton = SkeletonMap(disc.mesh, 3 * disc.nF)
         active = self.skeleton.dofs
         self.ns, self.nu, self.nm = ops.A.shape[0], ops.M.shape[0], self.skeleton.ndof
-        self.A = ops.A.tocsc()
-        self.D = ops.D
-        self.M = ops.M.tocsc()
-        self.T11 = ops.T11
+        self.A, self.D, self.M, self.T11 = ops.A, ops.D, ops.M, ops.T11
         self.N = ops.N[active]
         self.T12 = ops.T12[:, active]
         # transposes built once: making the .T view costs more than its product
@@ -105,24 +103,29 @@ class SemidiscreteSystem:
         self.t22 = ops.t22[active]
 
         self._sign = {"accumulating": 1.0, "dissipative": -1.0}.get(flux)
-        self._M_lu = factor_skeleton(self.M, f"{flux} flux: mass factor")
-        self._A_lu = factor_skeleton(self.A, f"{flux} flux: compliance factor")
-        if flux == "conservative":
-            S = []
-            for b in self._blocks:   # sum_K N_K A_K^-1 N_K^T + tau_K I
-                N = b.N.reshape(len(b.element), b.nM, b.nS)
-                S.append(compliance_rsolve(np.linalg.inv(b.A_masses), N) @ np.swapaxes(N, 1, 2))
-                S[-1].reshape(len(b.element), -1)[:, ::b.nM + 1] += b.tau[:, None]
-            self._slave_lu = factor_skeleton(self.skeleton.matrix(np.concatenate(S)),
+        # inverses of the blocks of M (I_3 (x) m_K) and of A (its two scalar masses)
+        stack = lambda name: np.concatenate([getattr(b, name) for b in self._blocks])
+        self._A_inv_masses = np.linalg.inv(stack("A_masses"))
+        self._m_inv = np.linalg.inv(stack("M")[:, :disc.nW, :disc.nW])
+        if flux == "conservative":   # sum_K N_K A_K^-1 N_K^T + tau_K I
+            N = np.concatenate([b.N.reshape(len(b.element), b.nM, b.nS) for b in self._blocks])
+            S = compliance_rsolve(self._A_inv_masses, N) @ np.swapaxes(N, 1, 2)
+            S.reshape(len(S), -1)[:, ::S.shape[1] + 1] += stack("tau")[:, None]
+            self._slave_lu = factor_skeleton(self.skeleton.matrix(S),
                                              f"{flux} flux: static slaving factor")
         self._steps = {}
+
+    def _compliance_solve(self, r):
+        """A^-1 r element by element, for r (ns,) or a matrix of columns r (ns, k)."""
+        B = np.swapaxes(r.reshape(len(self._A_inv_masses), -1, r[0].size), 1, 2)
+        return np.swapaxes(compliance_rsolve(self._A_inv_masses, B), 1, 2).reshape(r.shape)
 
     # ---- slaved variables ----
 
     def slave_conservative(self, w):
         """(s, m) solving the stress and transmission constraints for u = w
         (a vector, or a matrix of columns) on the static skeleton factor."""
-        m = self._slave_lu.solve(self.N @ self._A_lu.solve(self._Dt @ w) + self._T12t @ w)
+        m = self._slave_lu.solve(self.N @ self._compliance_solve(self._Dt @ w) + self._T12t @ w)
         return self.stress_from(w, m), m
 
     def _stiffness(self, w):
@@ -132,7 +135,7 @@ class SemidiscreteSystem:
 
     def stress_from(self, u, m):
         """s = A^-1 (N^T m - D^T u)."""
-        return self._A_lu.solve(self._Nt @ m - self._Dt @ u)
+        return self._compliance_solve(self._Nt @ m - self._Dt @ u)
 
     def trace_rate(self, v, s):
         return (self._T12t @ v + self._sign * (self.N @ s)) / self.t22
@@ -155,21 +158,19 @@ class SemidiscreteSystem:
                      + m @ (self.t22 * m))
 
     def energy_rate(self, state):
-        """dE/dt along the semidiscrete vector field (chain rule, analytic)."""
+        """dE/dt along the semidiscrete vector field (chain rule, analytic; no mass solve)."""
         if self.flux == "conservative":
             ku, s, m = self._stiffness(state.u)
             ds, dm = self.slave_conservative(state.v)
-            dv = self._M_lu.solve(-ku)
-            rate = s @ (self.A @ ds) + state.v @ (self.M @ dv)
+            rate = s @ (self.A @ ds) - state.v @ ku
             rate += (state.u @ (self.T11 @ state.v) - state.v @ (self.T12 @ m)
                      - state.u @ (self.T12 @ dm) + dm @ (self.t22 * m))
             return float(rate)
         s = self.stress_from(state.u, state.m)
         dm = self.trace_rate(state.v, s)
         ds = self.stress_from(state.v, dm)
-        dv = self._M_lu.solve(self.D @ s
-                              + self._sign * (self.T11 @ state.v - self.T12 @ dm))
-        return float(s @ (self.A @ ds) + state.v @ (self.M @ dv))
+        r = self.D @ s + self._sign * (self.T11 @ state.v - self.T12 @ dm)   # M v'
+        return float(s @ (self.A @ ds) + state.v @ r)
 
     def velocity_mismatch(self, state):
         """||P_M v - u_hat'||_tau^2 for the rate fluxes."""
@@ -206,7 +207,7 @@ class SemidiscreteSystem:
         moments f (nu,) and skeleton right side rhs besides the loads."""
         skel, (lu, L, X, Z) = self.skeleton, step
         f = f.reshape(len(Z), -1, 1)
-        m = lu.solve(rhs + np.bincount(skel.element_dofs.ravel(), (L @ f).ravel(), skel.ndof))
+        m = lu.solve(rhs + skel.scatter(L @ f))
         return m, (X @ m[skel.element_dofs][:, :, None] + Z @ f).ravel()
 
     def _first_order_operator(self, dt):
@@ -236,8 +237,9 @@ class SemidiscreteSystem:
         c = BETA * dt * dt
         if dt not in self._steps:
             self._steps[dt] = self._condense(-1.0 / c, 1.0, dt)
-        a0 = (state.a if state.a is not None
-              else self._M_lu.solve(-self._stiffness(state.u)[0]))
+        a0 = state.a   # or M^-1 (-K u), element by element
+        if a0 is None:
+            a0 = -(self._stiffness(state.u)[0].reshape(-1, 3, self.disc.nW) @ self._m_inv).ravel()
         du_pred = dt * state.v + dt * dt * (0.5 - BETA) * a0
         du = self._solve(self._steps[dt], -(self.M @ (du_pred / c + a0)), 0.0)[1]
         a1 = (du - du_pred) / c
