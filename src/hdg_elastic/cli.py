@@ -97,24 +97,19 @@ def run_experiment(test, variant_name, k, ns, kappa=1.0, hk=DEFAULT_HK,
     return rows, oracle_report
 
 
-def write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for key in ("h", "kappa", "err_u", "err_sigma",
-                        "rel_err_u", "rel_err_sigma"):
-                out[key] = f"{row[key]:.12e}"
-            for key in ("assemble_s", "solve_s"):
-                out[key] = f"{row[key]:.6f}"
-            writer.writerow(out)
-
-
-def _print_rows(rows, stream):
-    print(",".join(CSV_COLUMNS), file=stream)
+def write_csv(stream, rows):
+    """Write the rows of run_experiment as CSV to a text stream (a file
+    opened with newline="" or sys.stdout)."""
+    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
     for row in rows:
-        print(",".join(str(row[c]) for c in CSV_COLUMNS), file=stream)
+        out = dict(row)
+        for key in ("h", "kappa", "err_u", "err_sigma",
+                    "rel_err_u", "rel_err_sigma"):
+            out[key] = f"{row[key]:.12e}"
+        for key in ("assemble_s", "solve_s"):
+            out[key] = f"{row[key]:.6f}"
+        writer.writerow(out)
 
 
 def main(argv=None):
@@ -160,8 +155,9 @@ def main(argv=None):
                                   kappa=args.kappa, hk=args.hk, bc=args.bc,
                                   oracle_monolithic=args.oracle_monolithic)
     if args.out:
-        write_csv(args.out, rows)
-    _print_rows(rows, sys.stdout)
+        with open(args.out, "w", newline="") as fh:
+            write_csv(fh, rows)
+    write_csv(sys.stdout, rows)
     if oracle is not None:
         print(f"monolithic oracle relative difference: {oracle:.3e}")
         if oracle > 1e-9:

@@ -19,7 +19,9 @@ multifrontal LU (FrontFactor) over the mesh's dissection tree: dense fronts
 assembled straight from the blocks, factored by LAPACK, with no sparse
 skeleton matrix and no SuperLU. The tree's subtrees are contiguous ranges of
 the face numbering, so a node's own faces are one range of skeleton dofs.
-Its residual is summed element by element.
+The factor keeps one record per front (own dofs, update dofs, LU and W) for
+both solve sweeps, and passes the children's updates to their parent on a
+stack in postorder (Liu 1992). The residual is summed element by element.
 
 The uncondensed systems - the second-order form in (stress, displacement,
 traces) and the first-order form in the unscaled stress - are block matrices
@@ -181,15 +183,23 @@ def direct_solve(matrix, rhs, name):
     lu = factor_skeleton(matrix, name)
     factor_s = time.perf_counter() - t0
     x = lu.solve(rhs)
-    residual = np.linalg.norm(matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    residual = _checked_residual(x, matrix @ x, rhs, name)
+    return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz), "residual": residual}
+
+
+def _checked_residual(x, Ax, b, name):
+    """||Ax - b|| / ||b|| of a solution x; raises SingularSystemError naming
+    the solve when x is not finite or that exceeds _RESIDUAL_TOL."""
+    residual = float(np.linalg.norm(Ax - b) / max(np.linalg.norm(b), 1e-300))
     if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
         raise SingularSystemError(f"{name} did not converge (relative residual {residual:.3e})")
-    return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz), "residual": float(residual)}
+    return residual
 
 
-def _extend_add(F, U, p, nFd):
-    """F[P, P] += U, with P the dofs of the faces at positions p of F, nFd
-    dofs per face: one slice per run of consecutive positions."""
+def _extend_add(F, faces, U, slot, nFd):
+    """F[P, P] += U, with P the dofs of the faces at positions slot[faces] of
+    F, nFd dofs per face: one slice per run of consecutive positions."""
+    p = slot[faces]
     starts = np.flatnonzero(np.diff(p, prepend=-2) != 1)
     runs = [(slice(p[a] * nFd, (p[a] + b - a) * nFd), slice(a * nFd, b * nFd))
             for a, b in zip(starts, np.append(starts[1:], len(p)))]
@@ -203,52 +213,52 @@ class FrontFactor:
     DissectionTree, assembled straight from the element blocks S (ne, 4 nFd,
     4 nFd), whose Dirichlet rows and columns are zero.
 
-    The index maps are kept at face granularity, in the skeleton face
-    numbering of skel.active: node i eliminates the skeleton faces
-    own[i]:own[i + 1], and its dense front also spans its update faces
-    update[i], sorted and all after own[i + 1]. A leaf's front starts from its
-    elements' blocks, and every node's takes the extend-add of its children's
-    updates. With F11 the own rows and columns, getrf factors F11, getri
-    inverts it from its LU and one gemm forms W = F11^-1 F12, and another the
-    update F22 - F21 W for the parent; the root has no update and inverts
-    nothing. On these shapes OpenBLAS runs getrs and trsm at a fraction of
-    gemm's rate, and the inverse from the LU factors is as stable as the
-    triangular solves in practice (Du Croz & Higham, IMA J. Numer. Anal. 12,
-    1992). Only LU(F11), its pivots and W are kept (fill counts their
-    entries); the solve sweeps use LU(F11) through getrs. The matrix is
-    (complex) symmetric, so F21 = W^T F11 and the forward sweep applies W^T.
-    Fronts are Fortran-ordered and go to BLAS and LAPACK as they are: numpy
-    products on strided views of C-ordered fronts took the n=4 k=2 factor
-    from 0.2 to 2.6 s at two BLAS threads. Raises SingularSystemError on an
-    exactly zero pivot."""
+    fronts holds one record (own, update, lu, piv, W) per node with own dofs,
+    in postorder: node i eliminates the skeleton dofs own (a slice), those of
+    the faces face_bounds[i]:face_bounds[i + 1] of skel.active, and its dense
+    front also spans update, the dofs of its update faces, which are sorted
+    and all after its own. The factor maps faces to front positions at face
+    granularity and builds the update dofs once; both solve sweeps read
+    them. A leaf's front starts from its elements' blocks, and every node's
+    takes the extend-add of its children's updates: in postorder these are
+    the top entries of a stack (Liu, SIAM Rev. 34, 1992), left child first,
+    each freed once added. With F11 the own rows and columns, getrf factors
+    F11, getri inverts it from its LU and one gemm forms W = F11^-1 F12, and
+    another the update F22 - F21 W that the node pushes; the root has no
+    update and inverts nothing. On these shapes OpenBLAS runs getrs and trsm
+    at a fraction of gemm's rate, and the inverse from the LU factors is as
+    stable as the triangular solves in practice (Du Croz & Higham, IMA J.
+    Numer. Anal. 12, 1992). Of each front only LU(F11), its pivots and W are
+    kept (fill counts their entries); the sweeps use LU(F11) through getrs.
+    The matrix is (complex) symmetric, so F21 = W^T F11 and the forward
+    sweep applies W^T. Fronts are Fortran-ordered and go to BLAS and LAPACK
+    as they are: numpy products on strided views of C-ordered fronts took
+    the n=4 k=2 factor from 0.2 to 2.6 s at two BLAS threads. Raises
+    SingularSystemError on an exactly zero pivot."""
 
     def __init__(self, mesh, skel, S):
         tree, nFd = mesh.dissection, skel.nFd
         face = np.full(mesh.num_faces, -1)      # skeleton face of each face, -1 on Dirichlet
         face[skel.active] = np.arange(len(skel.active))
-        self.nFd = nFd
-        self.own = np.searchsorted(skel.active, tree.face_bounds)
-        self.update, self.factors, self.fill = [], [], 0
+        bounds = np.searchsorted(skel.active, tree.face_bounds)
+        kids = np.bincount(tree.parent[tree.parent >= 0], minlength=len(tree.parent))
         slot = np.empty(len(skel.active), int)   # front position at the current node
-        children = [[] for _ in tree.parent]
-        for i, p in enumerate(tree.parent):
-            if p >= 0:
-                children[p].append(i)
         getrf, getri, self._getrs = get_lapack_funcs(("getrf", "getri", "getrs"), dtype=S.dtype)
         gemm, self._gemv = get_blas_funcs(("gemm", "gemv"), dtype=S.dtype)
         # S4[e, f, g] is the (nFd, nFd) block of local faces f and g of element e
         S4 = S.reshape(len(S), 4, nFd, 4, nFd).transpose(0, 1, 3, 2, 4)
-        updates = {}
-        for i, kids in enumerate(children):
+        self.fronts, self.fill, stack = [], 0, []
+        for i in range(len(tree.parent)):
             elements = tree.elements[tree.element_bounds[i]:tree.element_bounds[i + 1]]
             faces = face[mesh.element_faces[elements]]
-            reach = np.concatenate([faces.ravel()] + [self.update[c] for c in kids])
-            self.update.append(np.unique(reach[reach >= self.own[i + 1]]))
-            own = self.own[i + 1] - self.own[i]
-            nf = own + len(self.update[i])
-            n1, n = own * nFd, nf * nFd
-            slot[self.own[i]:self.own[i + 1]] = np.arange(own)
-            slot[self.update[i]] = np.arange(own, nf)
+            first = len(stack) - kids[i]         # the children's entries
+            reach = np.concatenate([faces.ravel()] + [u for u, _ in stack[first:]])
+            update = np.unique(reach[reach >= bounds[i + 1]])
+            n_own = bounds[i + 1] - bounds[i]
+            nf = n_own + len(update)
+            n1, n = n_own * nFd, nf * nFd
+            slot[bounds[i]:bounds[i + 1]] = np.arange(n_own)
+            slot[update] = np.arange(n_own, nf)
             F = np.zeros((n, n), S.dtype, order="F")
             # a leaf's blocks, pair by pair of free faces, added into the
             # (nFd, nf, nFd, nf) view of F, whose [a, p, b, q] is F[p nFd + a, q nFd + b]
@@ -256,8 +266,8 @@ class FrontFactor:
             np.add.at(F.reshape((nFd, nf, nFd, nf), order="F"),
                       (slice(None), slot[faces[e, f]], slice(None), slot[faces[e, g]]),
                       S4[elements[e], f, g])
-            for c in kids:
-                _extend_add(F, updates.pop(c), slot[self.update[c]], nFd)
+            for _ in range(kids[i]):
+                _extend_add(F, *stack.pop(first), slot, nFd)
             if n1 > 0:
                 lu, piv, info = getrf(F[:n1, :n1], overwrite_a=True)
                 if info > 0:
@@ -269,32 +279,28 @@ class FrontFactor:
                     F = gemm(-1.0, F[n1:, :n1], W, 1.0, F[n1:, n1:], overwrite_c=True)
                 else:
                     W, F = F[:n1, n1:], F[n1:, n1:]
-                self.factors.append((i, lu, piv, W))
+                self.fronts.append((slice(bounds[i] * nFd, bounds[i + 1] * nFd),
+                                    (update[:, None] * nFd + np.arange(nFd)).ravel(),
+                                    lu, piv, W))
                 self.fill += lu.size + W.size
-            updates[i] = F   # the Schur complement over update[i]
+            stack.append((update, F))   # F is now the Schur complement over update
         self.dtype = S.dtype
 
-    def _dofs(self, faces):
-        """Skeleton dofs of skeleton faces."""
-        return (faces[:, None] * self.nFd + np.arange(self.nFd)).ravel()
-
     def solve(self, b):
-        """x with sum_K S_K x_K = b, by a forward sweep over the tree in
-        postorder and a backward one in reverse. A real factor solves the real
-        and imaginary parts of a complex b apart."""
+        """x with sum_K S_K x_K = b, by a forward sweep over the fronts in
+        postorder and a backward one in reverse. A real factor solves the
+        real and imaginary parts of a complex b apart."""
         if np.iscomplexobj(b) and self.dtype.kind != "c":
             return self.solve(np.real(b)) + 1j * self.solve(np.imag(b))
         x = np.array(b, dtype=np.result_type(b, self.dtype))
-        own = lambda i: slice(self.own[i] * self.nFd, self.own[i + 1] * self.nFd)
-        for i, lu, piv, W in self.factors:
+        for own, update, lu, piv, W in self.fronts:
             if W.size:
-                x[self._dofs(self.update[i])] -= self._gemv(1.0, W, x[own(i)], trans=1)
-        for i, lu, piv, W in reversed(self.factors):
-            x1 = self._getrs(lu, piv, x[own(i)])[0]
+                x[update] -= self._gemv(1.0, W, x[own], trans=1)
+        for own, update, lu, piv, W in reversed(self.fronts):
+            x1 = self._getrs(lu, piv, x[own])[0]
             if W.size:
-                x1 = self._gemv(-1.0, W, x[self._dofs(self.update[i])], 1.0, x1,
-                                overwrite_y=True)
-            x[own(i)] = x1
+                x1 = self._gemv(-1.0, W, x[update], 1.0, x1, overwrite_y=True)
+            x[own] = x1
         return x
 
 
@@ -368,7 +374,7 @@ def boundary_data(disc, data):
         if faces.size:
             owner = mesh.face_elements[faces, 0]             # a boundary face's one element
             lf = np.argmax(mesh.element_faces[owner] == faces[:, None], axis=1)
-            _, _, normals = disc.element_face_tables(owner, lf)
+            normals = mesh.element_face_signs[owner, lf][:, None] * mesh.face_normals[faces]
             n = np.repeat(normals, disc.face_weights.shape[1], axis=0)
             values = disc.project_face(faces, lambda x: datum(x, n)).reshape(len(faces), -1)
             g = g.astype(np.result_type(g, values), copy=False)
@@ -481,12 +487,9 @@ def solve_skeleton(system):
     fronts = FrontFactor(system.disc.mesh, skel, system.blocks)
     factor_s = time.perf_counter() - t0
     x = fronts.solve(b)
-    residual = np.linalg.norm(skel.apply(system.blocks, x) - b) / max(np.linalg.norm(b), 1e-300)
-    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
-        raise SingularSystemError(f"skeleton solve did not converge "
-                                  f"(relative residual {residual:.3e})")
+    residual = _checked_residual(x, skel.apply(system.blocks, x), b, "skeleton solve")
     system.diagnostics.update(factor_s=factor_s, lu_fill=int(fronts.fill),
-                              skeleton_residual=float(residual))
+                              skeleton_residual=residual)
     uhat = system.dirichlet_values.astype(x.dtype)
     uhat[system.skeleton.active] = x.reshape(-1, *uhat.shape[1:])
     return uhat

@@ -239,6 +239,26 @@ def test_seeded_jet_outer_level_is_the_single_level_jet(name):
         assert same(_jet(v).val, single.d1[i])
 
 
+def _same_jet(a, b):
+    """a and b equal bit for bit, at every level."""
+    if not isinstance(a, Jet):
+        return not isinstance(b, Jet) and np.array_equal(a, b)
+    return (isinstance(b, Jet) and set(a.d1) == set(b.d1) and _same_jet(a.val, b.val)
+            and all(_same_jet(a.d1[i], b.d1[i]) for i in a.d1))
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_number_minus_jet_is_the_negated_difference(levels):
+    pts = np.random.default_rng(9).uniform(0.0, 1.0, (5, 3)).T
+    for _ in range(levels):
+        pts = Jet.seed(pts)
+    x1, _, x3 = pts
+    field = x1 ** 2 * materials.sin(x3)
+    got = 0.7 - field
+    assert isinstance(got, Jet) and set(got.d1) == {0, 2}
+    assert _same_jet(got, -(field - 0.7))
+
+
 def test_constant_fields_are_exact_doubles():
     x = np.zeros((1, 3))
     assert isotropic(1 / 3, 1, 1).lam(x)[0] == 1 / 3

@@ -430,13 +430,16 @@ def test_failed_skeleton_factor_raises_singular_system_error(monkeypatch, flux):
             SemidiscreteSystem(disc, variable_preset(), flux)
 
 
-# measured at n = 1, 2, 3: Newmark 0.503, 0.173, 0.0690 (rates 1.54, 2.26),
-# trapezoid 0.245, 0.0715, 0.0245 (rates 1.78, 2.64); the same at dt = 1e-3,
-# so the error is spatial
-@pytest.mark.parametrize("flux,windows", [
-    pytest.param("conservative", ((1.3, 1.8), (2.0, 2.5)), id="newmark"),
-    pytest.param("dissipative", ((1.5, 2.0), (2.4, 2.9)), id="trapezoid")])
-def test_standing_wave_error_falls_with_refinement(flux, windows):
+# measured at n = 1, 2, 3, k = 1: Newmark 0.503, 0.173, 0.0690 (rates 1.54,
+# 2.26), trapezoid 0.245, 0.0715, 0.0245 (rates 1.78, 2.64); k = 2: Newmark
+# 0.259, 0.0252, 0.00622 (rates 3.36, 3.45), trapezoid 0.126, 0.00847, 0.00175
+# (rates 3.90, 3.89); the same to 3 digits at dt = 1e-3, so the error is spatial
+@pytest.mark.parametrize("flux,k,windows", [
+    pytest.param("conservative", 1, ((1.3, 1.8), (2.0, 2.5)), id="newmark"),
+    pytest.param("dissipative", 1, ((1.5, 2.0), (2.4, 2.9)), id="trapezoid"),
+    pytest.param("conservative", 2, ((3.1, 3.6), (3.2, 3.7)), id="newmark-k2"),
+    pytest.param("dissipative", 2, ((3.65, 4.15), (3.65, 4.15)), id="trapezoid-k2")])
+def test_standing_wave_error_falls_with_refinement(flux, k, windows):
     # lambda = 0, mu = rho = 1 on the mixed boundary: u = cos(omega t) (0, 0,
     # sin pi z), omega = pi sqrt(2), is exact; from u = P_W u0 and v = 0 the
     # error max_t ||u_h - cos(omega t) P_W u0||_M / ||P_W u0||_M over t in
@@ -446,7 +449,7 @@ def test_standing_wave_error_falls_with_refinement(flux, windows):
     u0 = lambda p: np.stack([0 * p[:, 0], 0 * p[:, 0], np.sin(np.pi * p[:, 2])], axis=1)
     errors = []
     for n in ns:
-        disc = Discretization(tag_boundary(build_structured_cube(n), "mixed"), 1)
+        disc = Discretization(tag_boundary(build_structured_cube(n), "mixed"), k)
         system = SemidiscreteSystem(disc, isotropic(0, 1, 1), flux)
         state = initial_state(system, u0, lambda p: np.zeros_like(p))
         pu = state.u
