@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Discretization
+from .discretization import Discretization, moments
 from .global_system import ProblemData, solve_time_harmonic
-from .local_ops import VARIANTS, block_bytes, element_batches, element_blocks
+from .local_ops import VARIANTS, _rmul, element_batches
 # unused here; perfbench/tracing.py wraps it through this module's binding
 from .local_ops import assemble_local_blocks  # noqa: F401
 from .materials import FROBENIUS_WEIGHTS, SYM_MATS, pack_sym
@@ -42,9 +42,9 @@ def compute_errors(disc, material, case, solution):
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
         phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
         u_ex = case.u(pts)
-        u_h = np.einsum("bdj,bqj->bqd", solution.u[batch], psi)
+        u_h = _rmul(psi, np.swapaxes(solution.u[batch], 1, 2))
         s_ex = pack_sym(case.sigma(pts))
-        s_h = np.einsum("bci,bqi->bqc", solution.sigma[batch], phi)
+        s_h = _rmul(phi, np.swapaxes(solution.sigma[batch], 1, 2))
         sums += [np.sum(wts * np.sum(np.abs(u_ex - u_h) ** 2, axis=-1)),
                  np.sum(wts * np.sum(np.abs(u_ex) ** 2, axis=-1)),
                  np.sum(wts * (np.abs(s_ex - s_h) ** 2 @ FROBENIUS_WEIGHTS)),
@@ -81,6 +81,17 @@ def eoc(errors, hs):
 # ---- error energy identity (first-order variables) ----
 
 
+def compliance_dual(lam, mu, w):
+    """The packed a with (A v, w)_F = v . a at each point, for packed values w
+    (..., 6) of a symmetric field and the Lame moduli there: the isotropic
+    (A v, w)_F = (v, w)_F / (2 mu) + (1/(2 mu + 3 lam) - 1/(2 mu)) tr v tr w / 3."""
+    inv_2mu = 1.0 / (2.0 * mu)
+    a = w * FROBENIUS_WEIGHTS * inv_2mu[..., None]
+    vol = (1.0 / (2.0 * mu + 3.0 * lam) - inv_2mu) / 3.0
+    a[..., :3] += (vol * w[..., :3].sum(axis=-1))[..., None]
+    return a
+
+
 def energy_identity_sides(disc, material, case, solution):
     """Both sides of the discrete error energy identity.
 
@@ -95,54 +106,61 @@ def energy_identity_sides(disc, material, case, solution):
 
     All terms are evaluated with the quadrature of the discretization used
     for the solve, so the identity holds to roundoff once the quadrature
-    resolves the exact fields. A, M, G and tau come from element_blocks."""
+    resolves the exact fields. Every term comes from the fields' values at
+    the quadrature points, with no element block: the A-forms through
+    compliance_dual and P_M e_u as the face moments of e_u. Coefficients are
+    kept basis index first, (..., n, components), so that point values and
+    moments are stacked matmuls with the real basis tables."""
     mesh = disc.mesh
     kappa, sigma_fo = case.kappa, case.first_order_stress
-    at = lambda coeffs, table: np.einsum("bci,b...i->b...c", coeffs, table)
     # exact traces at the face quadrature points and e_mhat, once per face
     u_face = case.u(disc.face_points)
     s_face = pack_sym(sigma_fo(disc.face_points))
-    e_mhat = np.einsum("fq,fqd,fql->fdl", disc.face_weights, u_face, disc.face_chi) \
-        - solution.uhat
-    lhs = np.sum(np.abs(e_mhat[mesh.face_tags == BoundaryTag.IMPEDANCE]) ** 2) + 0.0j
-    rhs = 0.0
+    e_mhat = moments(disc.face_weights, u_face, disc.face_chi) - np.swapaxes(solution.uhat, 1, 2)
+    # ||e_mhat||^2 on the impedance boundary, a term of the left side only
+    boundary = np.array([np.sum(np.abs(e_mhat[mesh.face_tags == BoundaryTag.IMPEDANCE]) ** 2), 0])
     # doubles per volume and face point: exact, projected and discrete fields
     # with their errors, the moduli, temporaries, basis values
     point_bytes = 8 * (len(disc.vol_rule.weights) * (250 + disc.nV + disc.nW)
                        + 4 * disc.face_weights.shape[1] * (100 + disc.nV + disc.nW + disc.nF))
-    for batch in element_batches(mesh.num_elements, point_bytes + block_bytes(disc)):
-        b = element_blocks(disc, material, batch)
+
+    def batch_sides(batch):
+        # a function, so that a batch's point values are freed before the next
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
         phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
         s_ex, u_ex = pack_sym(sigma_fo(pts)), case.u(pts)
-        proj_s = np.einsum("bq,bqc,bqi->bci", wts, s_ex, phi)
-        proj_u = np.einsum("bq,bqd,bqj->bdj", wts, u_ex, psi)
-        e_s = proj_s - (1j / kappa) * solution.sigma[batch]
-        e_u = proj_u - solution.u[batch]
-        es, eu = e_s.reshape(len(batch), -1, 1), e_u.reshape(len(batch), -1, 1)
-        lhs += 1j * kappa * (np.vdot(es, b.A @ es) - np.vdot(eu, b.M @ eu))
-        # (A v, w)_F = (v, w)_F / (2 mu) + (1/(2 mu + 3 lam) - 1/(2 mu)) tr v tr w / 3
-        v, w = at(proj_s, phi) - s_ex, np.conj(at(e_s, phi))
-        lam, mu = material.lam(pts), material.mu(pts)
-        a_vw = ((v * w) @ FROBENIUS_WEIGHTS / (2.0 * mu)
-                + (1.0 / (2.0 * mu + 3.0 * lam) - 1.0 / (2.0 * mu)) / 3.0
-                * v[..., :3].sum(axis=-1) * w[..., :3].sum(axis=-1))
-        rhs += 1j * kappa * (
-            np.sum(wts * a_vw)
-            - np.einsum("bq,bqd,bqd->", wts * material.rho(pts),
-                        np.conj(at(proj_u, psi) - u_ex), at(e_u, psi)))
+        proj_s, proj_u = moments(wts, s_ex, phi), moments(wts, u_ex, psi)
+        e_s = proj_s - (1j / kappa) * np.swapaxes(solution.sigma[batch], 1, 2)
+        e_u = proj_u - np.swapaxes(solution.u[batch], 1, 2)
+        # eps and e at the volume points, (nb, nq, 6) and (nb, nq, 3)
+        u_coeffs = np.stack([proj_u, e_u])
+        eps_s, es = _rmul(phi, np.stack([proj_s, e_s]))
+        eps_u, eu = _rmul(psi, u_coeffs)
+        eps_s -= s_ex
+        eps_u -= u_ex
+        a_es = compliance_dual(material.lam(pts), material.mu(pts), wts[..., None] * es)
+        rho_eu = (wts * material.rho(pts))[..., None] * eu
+        lhs = 1j * kappa * (np.vdot(a_es, es) - np.vdot(rho_eu, eu))
+        rhs = 1j * kappa * (np.vdot(a_es, eps_s) - np.vdot(eps_u, rho_eu))
 
-        faces = mesh.element_faces[batch]                           # (nb, 4)
+        # the same at the face points, (nb, 4, nqf, 3); face moments (nb, 4, nF, 3)
+        faces, tau = mesh.element_faces[batch], disc.tau(batch)
         phi_f, psi_f, normals = disc.element_face_tables(batch[:, None], np.arange(4))
         wf, chi_f = disc.face_weights[faces], disc.face_chi[faces]
-        face_at = lambda coeffs: np.einsum("bfdl,bfql->bfqd", coeffs, chi_f)
-        jump = (b.G @ eu[:, None]).reshape(len(batch), 4, 3, -1) - e_mhat[faces]
-        lhs += np.sum(b.tau * np.sum(np.abs(jump) ** 2, axis=(1, 2, 3)))
-        trac = np.einsum("bfqc,cde,bfe->bfqd", np.conj(at(proj_s, phi_f) - s_face[faces]),
-                         SYM_MATS, normals)
-        rhs += np.einsum("bfq,bfqd,bfqd->", wf, trac, at(e_u, psi_f) - face_at(e_mhat[faces]))
-        rhs += np.einsum("b,bfq,bfqd,bfqd->", b.tau, wf,
-                         np.conj(at(proj_u, psi_f) - u_face[faces]), face_at(jump))
+        eps_uf, euf = _rmul(psi_f, u_coeffs[:, :, None])
+        eps_uf -= u_face[faces]
+        jump = moments(wf, euf, chi_f) - e_mhat[faces]             # P_M e_u - e_mhat
+        lhs += np.sum(tau * np.sum(np.abs(jump) ** 2, axis=(1, 2, 3)))
+        mhat_f, jump_f = _rmul(chi_f, np.stack([e_mhat[faces], jump]))
+        # eps_s n, with E_c n for each packed component c: (nb, 4, 6, 3)
+        en = (SYM_MATS.reshape(18, 3) @ normals[..., None]).reshape(len(batch), 4, 6, 3)
+        eps_sn = (_rmul(phi_f, proj_s[:, None]) - s_face[faces]) @ en
+        rhs += np.vdot(eps_sn, wf[..., None] * (euf - mhat_f))
+        rhs += np.vdot(eps_uf, (tau[:, None, None] * wf)[..., None] * jump_f)
+        return np.array([lhs, rhs])
+
+    lhs, rhs = boundary + sum(batch_sides(batch)
+                              for batch in element_batches(mesh.num_elements, point_bytes))
     return lhs, rhs
 
 

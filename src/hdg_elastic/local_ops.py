@@ -188,9 +188,8 @@ def element_blocks(disc, material, elements):
     A = _isotropic_layout(A_masses, 2.0)
 
     # D[d j, c i] = sum_r (E_c J^-T)_{d r} sum_q w_q psi_j d_r phi_i
-    psi_dphi = np.einsum("q,qj,qir->rji", wq, disc.psi_ref, disc.dphi_ref)
     ecj = SYM_MATS.reshape(18, 3) @ np.swapaxes(disc.jac_inv[elements], 1, 2)
-    D = ecj @ psi_dphi.reshape(3, nW * nV)                       # (nb, 18, nW nV)
+    D = ecj @ disc.psi_dphi.reshape(3, nW * nV)                  # (nb, 18, nW nV)
     D = D.reshape(nb, 6, 3, nW, nV).transpose(0, 2, 3, 1, 4).reshape(nb, nW3, nS)
 
     psipsi = (wq[:, None, None] * disc.psi_ref[:, :, None]
@@ -277,7 +276,7 @@ def _rmul(R, Z):
     arithmetic on Z's interleaved parts."""
     if np.iscomplexobj(R) or np.isrealobj(Z):
         return R @ Z
-    return (R @ Z.view(np.float64)).view(np.complex128)
+    return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
 
 
 def _inverse_norm1(Ainv, P_D, Sinv):

@@ -36,8 +36,8 @@ _TRACE_PICK = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 def pack_sym(mat):
     """(..., 3, 3) symmetric matrices -> (..., 6) packed entries."""
     mat = np.asarray(mat)
-    skew = np.abs(mat - np.swapaxes(mat, -1, -2)).max()
-    scale = max(np.abs(mat).max(), 1.0)
+    skew = np.abs(mat - np.swapaxes(mat, -1, -2)).max(initial=0.0)
+    scale = max(np.abs(mat).max(initial=0.0), 1.0)
     if skew > _SYM_TOL * scale:
         raise ValueError(f"matrix field is not symmetric (max asymmetry {skew:.3e})")
     return np.stack([mat[..., i, j] for i, j in SYM_COMPONENTS], axis=-1)
