@@ -32,6 +32,7 @@ class ExactCase:
     material: object
     u: callable        # (..., 3)
     sigma: callable    # (..., 3, 3), the second-order stress variable
+    u_sigma: callable  # (u, sigma) from one evaluation of the field
     f: callable        # (..., 3) volume load
     params: dict
 
@@ -44,10 +45,12 @@ class ExactCase:
     def g_r(self, x, n):
         return self.g_n(x, n) + 1j * self.kappa * self.u(x)
 
-    def first_order_stress(self, x):
+    def first_order_fields(self, x):
+        """u and the first-order (unscaled) stress (i/kappa) sigma at x."""
         if self.kappa == 0:
             raise ValueError("unscaled stress is undefined at kappa = 0")
-        return (1j / self.kappa) * self.sigma(x)
+        u, sigma = self.u_sigma(x)
+        return u, (1j / self.kappa) * sigma
 
 
 def _lift(value):
@@ -80,9 +83,12 @@ def _build_case(tag, u_fn, material, kappa, params):
         x = np.asarray(x)
         return _stack(u_fn(*np.moveaxis(x, -1, 0)), x.shape[:-1])
 
-    def sigma(x):
+    def u_sigma(x):
         x = np.asarray(x)
-        return _stack(fields(np.moveaxis(x, -1, 0))[1], x.shape[:-1])
+        return tuple(_stack(c, x.shape[:-1]) for c in fields(np.moveaxis(x, -1, 0)))
+
+    def sigma(x):
+        return u_sigma(x)[1]
 
     def f(x):
         x = np.asarray(x)
@@ -91,7 +97,7 @@ def _build_case(tag, u_fn, material, kappa, params):
         return _stack([sum(_lift(s[i][j]).d1.get(j, 0.0) for j in range(3))
                        + kappa ** 2 * rho * _lift(uj[i]).val for i in range(3)], x.shape[:-1])
 
-    return ExactCase(tag, float(kappa), material, u, sigma, f, params)
+    return ExactCase(tag, float(kappa), material, u, sigma, u_sigma, f, params)
 
 
 def _varcoeff_u(x1, x2, x3):

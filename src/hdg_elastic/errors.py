@@ -41,9 +41,9 @@ def compute_errors(disc, material, case, solution):
                                  point_bytes * len(disc.vol_rule.weights)):
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
         phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
-        u_ex = case.u(pts)
+        u_ex, s_ex = case.u_sigma(pts)
+        s_ex = pack_sym(s_ex)
         u_h = _rmul(psi, np.swapaxes(solution.u[batch], 1, 2))
-        s_ex = pack_sym(case.sigma(pts))
         s_h = _rmul(phi, np.swapaxes(solution.sigma[batch], 1, 2))
         sums += [np.sum(wts * np.sum(np.abs(u_ex - u_h) ** 2, axis=-1)),
                  np.sum(wts * np.sum(np.abs(u_ex) ** 2, axis=-1)),
@@ -112,10 +112,10 @@ def energy_identity_sides(disc, material, case, solution):
     kept basis index first, (..., n, components), so that point values and
     moments are stacked matmuls with the real basis tables."""
     mesh = disc.mesh
-    kappa, sigma_fo = case.kappa, case.first_order_stress
+    kappa, fields = case.kappa, case.first_order_fields
     # exact traces at the face quadrature points and e_mhat, once per face
-    u_face = case.u(disc.face_points)
-    s_face = pack_sym(sigma_fo(disc.face_points))
+    u_face, s_face = fields(disc.face_points)
+    s_face = pack_sym(s_face)
     e_mhat = moments(disc.face_weights, u_face, disc.face_chi) - np.swapaxes(solution.uhat, 1, 2)
     # ||e_mhat||^2 on the impedance boundary, a term of the left side only
     boundary = np.array([np.sum(np.abs(e_mhat[mesh.face_tags == BoundaryTag.IMPEDANCE]) ** 2), 0])
@@ -128,7 +128,8 @@ def energy_identity_sides(disc, material, case, solution):
         # a function, so that a batch's point values are freed before the next
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
         phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
-        s_ex, u_ex = pack_sym(sigma_fo(pts)), case.u(pts)
+        u_ex, s_ex = fields(pts)
+        s_ex = pack_sym(s_ex)
         proj_s, proj_u = moments(wts, s_ex, phi), moments(wts, u_ex, psi)
         e_s = proj_s - (1j / kappa) * np.swapaxes(solution.sigma[batch], 1, 2)
         e_u = proj_u - np.swapaxes(solution.u[batch], 1, 2)

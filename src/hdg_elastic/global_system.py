@@ -16,12 +16,14 @@ Every global path shares one numbering and one set of operators:
 The hybrid path keeps the condensed element blocks S_K, with their Dirichlet
 rows and columns zeroed, and solves the skeleton system sum_K S_K x = b by a
 multifrontal LU (FrontFactor) over the mesh's dissection tree: dense fronts
-assembled straight from the blocks, factored by LAPACK, with no sparse
-skeleton matrix and no SuperLU. The tree's subtrees are contiguous ranges of
-the face numbering, so a node's own faces are one range of skeleton dofs.
-The factor keeps one record per front (own dofs, update dofs, LU and W) for
-both solve sweeps, and passes the children's updates to their parent on a
-stack in postorder (Liu 1992). The residual is summed element by element.
+assembled straight from the blocks, factored by LAPACK in single precision,
+with no sparse skeleton matrix and no SuperLU. The tree's subtrees are
+contiguous ranges of the face numbering, so a node's own faces are one range
+of skeleton dofs. The factor keeps one record per front (own dofs, update
+dofs, LU and W) for both solve sweeps, and passes the children's updates to
+their parent on a stack in postorder (Liu 1992). Its solve refines the
+answer to double precision with residuals summed element by element, and
+refactors in double precision where refinement stalls.
 
 The uncondensed systems - the second-order form in (stress, displacement,
 traces) and the first-order form in the unscaled stress - are block matrices
@@ -54,6 +56,13 @@ from .local_ops import assemble_local_blocks, condense, factorize_local, recover
 from .mesh import BoundaryTag
 
 _RESIDUAL_TOL = 1e-8
+# FrontFactor's refinement (see its docstring). Refined residuals settle at
+# 0.08-0.2 eps (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2) on the varcoeff ladders,
+# hk-const and swave near resonance; on the last two that is 2e-14 to
+# 8e-14 ||b||, above _REFINE_TOL.
+_REFINE_TOL = 1e-14
+_REFINE_RATIO = 0.1
+_REFINE_STEPS = 6
 # SuperLU's diagonal pivot threshold in factor_skeleton. At its default 1.0,
 # 2% of the rows of the n=4 k=2 first-order skeleton matrix pivot off the
 # diagonal. At 1e-2 the n=2 k=2 varcoeff monolithic factor still does (11.8 M
@@ -211,7 +220,8 @@ def _extend_add(F, faces, U, slot, nFd):
 class FrontFactor:
     """Multifrontal LU of the skeleton matrix sum_K S_K over the mesh's
     DissectionTree, assembled straight from the element blocks S (ne, 4 nFd,
-    4 nFd), whose Dirichlet rows and columns are zero.
+    4 nFd), whose Dirichlet rows and columns are zero, in single precision
+    (float32, complex64 for complex S) and refined in S's.
 
     fronts holds one record (own, update, lu, piv, W) per node with own dofs,
     in postorder: node i eliminates the skeleton dofs own (a slice), those of
@@ -219,32 +229,63 @@ class FrontFactor:
     front also spans update, the dofs of its update faces, which are sorted
     and all after its own. The factor maps faces to front positions at face
     granularity and builds the update dofs once; both solve sweeps read
-    them. A leaf's front starts from its elements' blocks, and every node's
-    takes the extend-add of its children's updates: in postorder these are
-    the top entries of a stack (Liu, SIAM Rev. 34, 1992), left child first,
-    each freed once added. With F11 the own rows and columns, getrf factors
-    F11, getri inverts it from its LU and one gemm forms W = F11^-1 F12, and
+    them. A leaf's front starts from its elements' blocks, cast to the
+    working precision as they are gathered, and every node's takes the
+    extend-add of its children's updates: in postorder these are the top
+    entries of a stack (Liu, SIAM Rev. 34, 1992), left child first, each
+    freed once added. With F11 the own rows and columns, getrf factors F11,
+    getri inverts it from its LU and one gemm forms W = F11^-1 F12, and
     another the update F22 - F21 W that the node pushes; the root has no
     update and inverts nothing. On these shapes OpenBLAS runs getrs and trsm
     at a fraction of gemm's rate, and the inverse from the LU factors is as
     stable as the triangular solves in practice (Du Croz & Higham, IMA J.
     Numer. Anal. 12, 1992). Of each front only LU(F11), its pivots and W are
-    kept (fill counts their entries); the sweeps use LU(F11) through getrs.
-    The matrix is (complex) symmetric, so F21 = W^T F11 and the forward
-    sweep applies W^T. Fronts are Fortran-ordered and go to BLAS and LAPACK
-    as they are: numpy products on strided views of C-ordered fronts took
-    the n=4 k=2 factor from 0.2 to 2.6 s at two BLAS threads. Raises
-    SingularSystemError on an exactly zero pivot."""
+    kept (fill counts their entries, whatever their precision); the sweeps
+    use LU(F11) through getrs. The matrix is (complex) symmetric, so F21 =
+    W^T F11 and the forward sweep applies W^T. Fronts are Fortran-ordered
+    and go to BLAS and LAPACK as they are: numpy products on strided views of
+    C-ordered fronts took the n=4 k=2 factor from 0.2 to 2.6 s at two BLAS
+    threads.
+
+    solve refines the single-precision solution in dtype, S's precision
+    (Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40, 2018):
+    x <- x + F^-1 r, with the residual r = b - sum_K S_K x_K summed from the
+    element products in dtype, as SkeletonMap.apply sums it. It stops once
+    ||r|| <= _REFINE_TOL ||b||, the level of a double-precision factor's
+    residual, or once ||r|| <= eps (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2), the
+    rounding level of the residual itself, a backward error of about eps
+    in the blocks; for some problems that lies above the first. Where a step
+    cuts ||r|| by less than _REFINE_RATIO short of both, ||r|| is not
+    finite, or _REFINE_STEPS steps do not reach them, the single-precision
+    factor is too poor for the matrix: the fronts are factored again in
+    dtype, factor_dtype records it, and that solve and every later one are
+    direct sweeps. A zero pivot in single precision does the same at once;
+    one in dtype raises SingularSystemError. steps and ratio hold the last
+    solve's refinement steps and its last ||r_{i+1}|| / ||r_i|| (0.0 before
+    the first step), about cond(S) times the single-precision unit
+    roundoff."""
 
     def __init__(self, mesh, skel, S):
+        self._mesh, self._skel, self._S = mesh, skel, S
+        self.dtype = S.dtype
+        R = S.reshape(len(S), -1).view(S.real.dtype)
+        self._block_norms = np.sqrt(np.einsum("ei,ei->e", R, R))   # ||S_K||_F
+        try:
+            self._factor(np.complex64 if S.dtype.kind == "c" else np.float32)
+        except SingularSystemError:
+            self._factor(S.dtype)
+
+    def _factor(self, dtype):
+        mesh, skel, S = self._mesh, self._skel, self._S
         tree, nFd = mesh.dissection, skel.nFd
         face = np.full(mesh.num_faces, -1)      # skeleton face of each face, -1 on Dirichlet
         face[skel.active] = np.arange(len(skel.active))
         bounds = np.searchsorted(skel.active, tree.face_bounds)
         kids = np.bincount(tree.parent[tree.parent >= 0], minlength=len(tree.parent))
         slot = np.empty(len(skel.active), int)   # front position at the current node
-        getrf, getri, self._getrs = get_lapack_funcs(("getrf", "getri", "getrs"), dtype=S.dtype)
-        gemm, self._gemv = get_blas_funcs(("gemm", "gemv"), dtype=S.dtype)
+        self.factor_dtype = np.dtype(dtype)
+        getrf, getri, self._getrs = get_lapack_funcs(("getrf", "getri", "getrs"), dtype=dtype)
+        gemm, self._gemv = get_blas_funcs(("gemm", "gemv"), dtype=dtype)
         # S4[e, f, g] is the (nFd, nFd) block of local faces f and g of element e
         S4 = S.reshape(len(S), 4, nFd, 4, nFd).transpose(0, 1, 3, 2, 4)
         self.fronts, self.fill, stack = [], 0, []
@@ -259,13 +300,14 @@ class FrontFactor:
             n1, n = n_own * nFd, nf * nFd
             slot[bounds[i]:bounds[i + 1]] = np.arange(n_own)
             slot[update] = np.arange(n_own, nf)
-            F = np.zeros((n, n), S.dtype, order="F")
+            F = np.zeros((n, n), dtype, order="F")
             # a leaf's blocks, pair by pair of free faces, added into the
-            # (nFd, nf, nFd, nf) view of F, whose [a, p, b, q] is F[p nFd + a, q nFd + b]
+            # (nFd, nf, nFd, nf) view of F, whose [a, p, b, q] is F[p nFd + a, q nFd + b];
+            # cast before the add, as a casting np.add.at is twice as slow
             e, f, g = np.nonzero((faces >= 0)[:, :, None] & (faces >= 0)[:, None, :])
             np.add.at(F.reshape((nFd, nf, nFd, nf), order="F"),
                       (slice(None), slot[faces[e, f]], slice(None), slot[faces[e, g]]),
-                      S4[elements[e], f, g])
+                      S4[elements[e], f, g].astype(dtype))
             for _ in range(kids[i]):
                 _extend_add(F, *stack.pop(first), slot, nFd)
             if n1 > 0:
@@ -284,15 +326,14 @@ class FrontFactor:
                                     lu, piv, W))
                 self.fill += lu.size + W.size
             stack.append((update, F))   # F is now the Schur complement over update
-        self.dtype = S.dtype
 
-    def solve(self, b):
-        """x with sum_K S_K x_K = b, by a forward sweep over the fronts in
+    def _sweep(self, b):
+        """F^-1 b in factor_dtype, by a forward sweep over the fronts in
         postorder and a backward one in reverse. A real factor solves the
         real and imaginary parts of a complex b apart."""
-        if np.iscomplexobj(b) and self.dtype.kind != "c":
-            return self.solve(np.real(b)) + 1j * self.solve(np.imag(b))
-        x = np.array(b, dtype=np.result_type(b, self.dtype))
+        if np.iscomplexobj(b) and self.factor_dtype.kind != "c":
+            return self._sweep(b.real) + 1j * self._sweep(b.imag)
+        x = np.array(b, dtype=self.factor_dtype)
         for own, update, lu, piv, W in self.fronts:
             if W.size:
                 x[update] -= self._gemv(1.0, W, x[own], trans=1)
@@ -302,6 +343,39 @@ class FrontFactor:
                 x1 = self._gemv(-1.0, W, x[update], 1.0, x1, overwrite_y=True)
             x[own] = x1
         return x
+
+    def _residual(self, b, x):
+        """b - sum_K S_K x_K in dtype, and its rounding level
+        eps (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2)."""
+        xK = x[self._skel.element_dofs] * self._skel.free
+        floor = np.finfo(self.dtype).eps * np.linalg.norm(
+            self._block_norms * np.linalg.norm(xK, axis=1))
+        return b - self._skel.scatter(self._S @ xK[:, :, None]), floor
+
+    def solve(self, b):
+        """x with sum_K S_K x_K = b, in np.result_type(b, dtype): the sweeps
+        of the single-precision factor, refined (see the class)."""
+        b = np.asarray(b)
+        self.steps, self.ratio = 0, 0.0
+        norm_b = np.linalg.norm(b)
+        if self.factor_dtype == self.dtype or norm_b == 0:
+            return self._sweep(b).astype(np.result_type(b, self.dtype), copy=False)
+        # F^-1 r of r scaled to unit norm, so that single precision neither
+        # overflows nor underflows on it
+        correction = lambda r, norm: norm * self._sweep(r / norm)
+        x = correction(b, norm_b).astype(np.result_type(b, self.dtype))
+        norm_r = np.inf
+        for self.steps in range(_REFINE_STEPS + 1):
+            r, floor = self._residual(b, x)
+            last, norm_r = norm_r, np.linalg.norm(r)
+            self.ratio = float(norm_r / last)
+            if norm_r <= max(_REFINE_TOL * norm_b, floor):
+                return x
+            if not self.ratio <= _REFINE_RATIO or self.steps == _REFINE_STEPS:
+                break
+            x += correction(r, norm_r)
+        self._factor(self.dtype)
+        return self._sweep(b)
 
 
 @dataclass(frozen=True)
@@ -477,11 +551,17 @@ def solve_skeleton(system):
     """Multifrontal direct solve of the condensed system from its element
     blocks (FrontFactor); returns (nfaces, 3, nF).
 
-    Solves in the system's dtype and adds the front factor's time (factor_s),
-    its stored entries (lu_fill) and the relative residual
-    ||sum_K S_K x_K - b|| / ||b|| (skeleton_residual), summed element by
-    element, to system.diagnostics. Raises SingularSystemError naming the
-    skeleton solve on a zero pivot or a residual above _RESIDUAL_TOL."""
+    The fronts are factored in single precision and the solution refined to
+    the system's dtype (see FrontFactor). Adds to system.diagnostics the
+    front factor's time (factor_s, the first factor only), its stored
+    entries (lu_fill, a count whatever their precision), the relative
+    residual ||sum_K S_K x_K - b|| / ||b|| (skeleton_residual), summed
+    element by element, the precision the fronts ended in (factor_dtype:
+    float32 or complex64, or the system's dtype after a fallback), the
+    refinement steps (refine_steps) and the last step's residual ratio
+    (refine_ratio, about cond times the float32 unit roundoff; 0.0 without
+    a step). Raises SingularSystemError naming the skeleton solve on a zero
+    pivot in the double-precision factor or a residual above _RESIDUAL_TOL."""
     skel, b = system.skeleton, system.rhs
     t0 = time.perf_counter()
     fronts = FrontFactor(system.disc.mesh, skel, system.blocks)
@@ -489,7 +569,9 @@ def solve_skeleton(system):
     x = fronts.solve(b)
     residual = _checked_residual(x, skel.apply(system.blocks, x), b, "skeleton solve")
     system.diagnostics.update(factor_s=factor_s, lu_fill=int(fronts.fill),
-                              skeleton_residual=residual)
+                              skeleton_residual=residual,
+                              factor_dtype=fronts.factor_dtype.name,
+                              refine_steps=fronts.steps, refine_ratio=fronts.ratio)
     uhat = system.dirichlet_values.astype(x.dtype)
     uhat[system.skeleton.active] = x.reshape(-1, *uhat.shape[1:])
     return uhat
@@ -544,9 +626,13 @@ def solve_time_harmonic(disc, material, data, variant):
     factor_s: the front factor of the skeleton system), skeleton_nnz (the
     face-block pattern: nFd^2 entries per pair of skeleton faces on a common
     element, each face with itself included), the skeleton solve's relative
-    residual, lu_fill (the entries the front factor stores: LU(F11) and W of
-    every front), the range of cond(C, 1) and the number of flagged elements.
-    Raises ValueError for a static pure-traction problem."""
+    residual, lu_fill (the number of entries the front factor stores: LU(F11)
+    and W of every front), the factor's working precision (factor_dtype:
+    float32 or complex64, refined to the solution's float64 or complex128;
+    the solution's own dtype where the refinement stalled and the fronts were
+    factored again), its refinement steps and last residual ratio
+    (refine_steps, refine_ratio), the range of cond(C, 1) and the number of
+    flagged elements. Raises ValueError for a static pure-traction problem."""
     _check_solvable(disc.mesh, data.kappa)
     t0 = time.perf_counter()
     system = assemble_hybrid(disc, material, data, variant)

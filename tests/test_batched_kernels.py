@@ -210,7 +210,8 @@ def test_solve_report_holds_plain_numbers():
     kinds = {"skeleton_residual": float, "lu_fill": int, "local_cond_min": float,
              "local_cond_median": float, "local_cond_max": float,
              "flagged_elements": int, "condense_s": float, "factor_s": float,
-             "skeleton_nnz": int}
+             "skeleton_nnz": int, "factor_dtype": str, "refine_steps": int,
+             "refine_ratio": float}
     for key, kind in kinds.items():
         assert type(info[key]) is kind, key
     assert 1 <= info["local_cond_min"] <= info["local_cond_median"] <= info["local_cond_max"]

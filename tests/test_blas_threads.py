@@ -35,11 +35,11 @@ SCRIPT = PRELUDE + r"""
 case = make_case("varcoeff", kappa=1.0)
 n, k = (int(a) for a in sys.argv[3:5])
 disc = Discretization(tag_boundary(build_structured_cube(n), "mixed"), k)
-sol, _ = solve_time_harmonic(disc, case.material, problem_data_from_case(case),
-                             VARIANTS[sys.argv[2]])
+sol, info = solve_time_harmonic(disc, case.material, problem_data_from_case(case),
+                                VARIANTS[sys.argv[2]])
 report = compute_errors(disc, case.material, case, sol)
 np.savez(sys.argv[1], sigma=sol.sigma, u=sol.u, uhat=sol.uhat)
-print(json.dumps({"threads": blas_threads(),
+print(json.dumps({"threads": blas_threads(), "factor_dtype": info["factor_dtype"],
                   "errors": [report.err_u, report.err_sigma, report.rel_err_u,
                              report.rel_err_sigma, report.err_trace]}))
 """
@@ -74,20 +74,22 @@ def _run(tmp_path, threads, variant, script=SCRIPT, args=()):
     if result["threads"] is not None:
         assert result["threads"] == threads
     with np.load(out) as arrays:
-        return result["errors"], {k: arrays[k] for k in arrays.files}
+        return result, {k: arrays[k] for k in arrays.files}
 
 
 def _compare_solves(tmp_path, variant, n, k):
-    errors1, fields1 = _run(tmp_path, 1, variant, args=(str(n), str(k)))
-    errors2, fields2 = _run(tmp_path, 2, variant, args=(str(n), str(k)))
-    for a, b in zip(errors1, errors2):
+    """Runs the solve at 1 and 2 BLAS threads; returns the two factor dtypes."""
+    result1, fields1 = _run(tmp_path, 1, variant, args=(str(n), str(k)))
+    result2, fields2 = _run(tmp_path, 2, variant, args=(str(n), str(k)))
+    for a, b in zip(result1["errors"], result2["errors"]):
         assert abs(a - b) <= 1e-12 * abs(a)
     for name, a in fields1.items():
         b = fields2[name]
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), name
+    return result1["factor_dtype"], result2["factor_dtype"]
 
 
-# first_order factors a complex skeleton matrix, conservative a float64 one
+# first_order factors a complex skeleton matrix (complex64), conservative a real one (float32)
 @pytest.mark.parametrize("variant", ["first_order", "conservative"])
 def test_solve_independent_of_blas_threads(tmp_path, variant):
     _compare_solves(tmp_path, variant, 2, 1)
@@ -97,6 +99,11 @@ def test_front_kernels_independent_of_blas_threads(tmp_path):
     # the largest skeleton front at n=3 k=2 has 756 dofs, enough for
     # OpenBLAS to thread its getrf, getrs and gemm
     _compare_solves(tmp_path, "conservative", 3, 2)
+
+
+def test_single_precision_factor_independent_of_blas_threads(tmp_path):
+    # a real k=2 skeleton: float32 fronts (sgetrf, sgemm, sgemv), refined in float64
+    assert _compare_solves(tmp_path, "conservative", 2, 2) == ("float32", "float32")
 
 
 @pytest.mark.parametrize("flux", ["conservative", "dissipative"])
