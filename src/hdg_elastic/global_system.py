@@ -62,7 +62,6 @@ _RESIDUAL_TOL = 1e-8
 # 8e-14 ||b||, above _REFINE_TOL.
 _REFINE_TOL = 1e-14
 _REFINE_RATIO = 0.1
-_REFINE_STEPS = 6
 # SuperLU's diagonal pivot threshold in factor_skeleton. At its default 1.0,
 # 2% of the rows of the n=4 k=2 first-order skeleton matrix pivot off the
 # diagonal. At 1e-2 the n=2 k=2 varcoeff monolithic factor still does (11.8 M
@@ -157,11 +156,6 @@ class SkeletonMap:
         sums = lambda part: np.bincount(self.element_dofs.ravel(), part.ravel(), self.ndof)
         return sums(y.real) + 1j * sums(y.imag) if np.iscomplexobj(y) else sums(y)
 
-    def apply(self, S, x):
-        """sum_K S_K x_K over the element blocks S, whose Dirichlet rows and
-        columns are zero, for a skeleton vector x."""
-        return self.scatter(S @ x[self.element_dofs][:, :, None])
-
 
 def factor_skeleton(matrix, name):
     """Sparse LU of a matrix as it is numbered: a transient skeleton or an
@@ -192,17 +186,16 @@ def direct_solve(matrix, rhs, name):
     lu = factor_skeleton(matrix, name)
     factor_s = time.perf_counter() - t0
     x = lu.solve(rhs)
-    residual = _checked_residual(x, matrix @ x, rhs, name)
+    residual = float(np.linalg.norm(matrix @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    _checked_residual(x, residual, name)
     return x, {"factor_s": factor_s, "lu_fill": int(lu.nnz), "residual": residual}
 
 
-def _checked_residual(x, Ax, b, name):
-    """||Ax - b|| / ||b|| of a solution x; raises SingularSystemError naming
-    the solve when x is not finite or that exceeds _RESIDUAL_TOL."""
-    residual = float(np.linalg.norm(Ax - b) / max(np.linalg.norm(b), 1e-300))
-    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
+def _checked_residual(x, residual, name):
+    """Raise SingularSystemError naming the solve when its solution x is not
+    finite or its relative residual is not at most _RESIDUAL_TOL (NaN included)."""
+    if not np.isfinite(x).all() or not residual <= _RESIDUAL_TOL:
         raise SingularSystemError(f"{name} did not converge (relative residual {residual:.3e})")
-    return residual
 
 
 def _extend_add(F, faces, U, slot, nFd):
@@ -250,20 +243,21 @@ class FrontFactor:
     solve refines the single-precision solution in dtype, S's precision
     (Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40, 2018):
     x <- x + F^-1 r, with the residual r = b - sum_K S_K x_K summed from the
-    element products in dtype, as SkeletonMap.apply sums it. It stops once
-    ||r|| <= _REFINE_TOL ||b||, the level of a double-precision factor's
-    residual, or once ||r|| <= eps (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2), the
-    rounding level of the residual itself, a backward error of about eps
-    in the blocks; for some problems that lies above the first. Where a step
-    cuts ||r|| by less than _REFINE_RATIO short of both, ||r|| is not
-    finite, or _REFINE_STEPS steps do not reach them, the single-precision
-    factor is too poor for the matrix: the fronts are factored again in
-    dtype, factor_dtype records it, and that solve and every later one are
-    direct sweeps. A zero pivot in single precision does the same at once;
-    one in dtype raises SingularSystemError. steps and ratio hold the last
-    solve's refinement steps and its last ||r_{i+1}|| / ||r_i|| (0.0 before
-    the first step), about cond(S) times the single-precision unit
-    roundoff."""
+    element products in dtype. It stops once ||r|| <= _REFINE_TOL ||b||, the
+    level of a double-precision factor's residual, or once ||r|| <= eps
+    (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2), the rounding level of the residual
+    itself, a backward error of about eps in the blocks; for some problems
+    that lies above the first. Refinement goes on while each step cuts ||r||
+    by _REFINE_RATIO or more, so a solve ends within 1 + log10(||r_0|| /
+    (_REFINE_TOL ||b||)) steps. Where a step cuts it by less, or ||r|| is
+    not finite, the single-precision factor is too poor for the matrix: the
+    fronts are factored again in dtype, factor_dtype records it, and that
+    solve and every later one are one direct sweep. A zero pivot in single
+    precision does the same at once; one in dtype raises
+    SingularSystemError. steps and ratio hold the last solve's refinement
+    steps and its last ||r_{i+1}|| / ||r_i|| (0.0 before the first step),
+    about cond(S) times the single-precision unit roundoff, and residual
+    the ||r|| / ||b|| of the x it returned."""
 
     def __init__(self, mesh, skel, S):
         self._mesh, self._skel, self._S = mesh, skel, S
@@ -354,28 +348,33 @@ class FrontFactor:
 
     def solve(self, b):
         """x with sum_K S_K x_K = b, in np.result_type(b, dtype): the sweeps
-        of the single-precision factor, refined (see the class)."""
+        of the single-precision factor, refined (see the class). residual
+        holds ||sum_K S_K x_K - b|| / ||b|| of the x returned."""
         b = np.asarray(b)
         self.steps, self.ratio = 0, 0.0
-        norm_b = np.linalg.norm(b)
-        if self.factor_dtype == self.dtype or norm_b == 0:
-            return self._sweep(b).astype(np.result_type(b, self.dtype), copy=False)
+        norm_b, norm_r = np.linalg.norm(b), np.inf
+        refine = self.factor_dtype != self.dtype and norm_b > 0
         # F^-1 r of r scaled to unit norm, so that single precision neither
         # overflows nor underflows on it
         correction = lambda r, norm: norm * self._sweep(r / norm)
-        x = correction(b, norm_b).astype(np.result_type(b, self.dtype))
-        norm_r = np.inf
-        for self.steps in range(_REFINE_STEPS + 1):
+        x = (correction(b, norm_b) if refine else self._sweep(b)).astype(
+            np.result_type(b, self.dtype), copy=False)
+        while True:
             r, floor = self._residual(b, x)
             last, norm_r = norm_r, np.linalg.norm(r)
+            if not refine:
+                break
             self.ratio = float(norm_r / last)
             if norm_r <= max(_REFINE_TOL * norm_b, floor):
-                return x
-            if not self.ratio <= _REFINE_RATIO or self.steps == _REFINE_STEPS:
                 break
-            x += correction(r, norm_r)
-        self._factor(self.dtype)
-        return self._sweep(b)
+            if self.ratio <= _REFINE_RATIO:
+                x += correction(r, norm_r)
+                self.steps += 1
+            else:   # stalled, or r is not finite
+                self._factor(self.dtype)
+                x, refine = self._sweep(b), False
+        self.residual = float(norm_r / max(norm_b, 1e-300))
+        return x
 
 
 @dataclass(frozen=True)
@@ -555,21 +554,21 @@ def solve_skeleton(system):
     the system's dtype (see FrontFactor). Adds to system.diagnostics the
     front factor's time (factor_s, the first factor only), its stored
     entries (lu_fill, a count whatever their precision), the relative
-    residual ||sum_K S_K x_K - b|| / ||b|| (skeleton_residual), summed
-    element by element, the precision the fronts ended in (factor_dtype:
-    float32 or complex64, or the system's dtype after a fallback), the
-    refinement steps (refine_steps) and the last step's residual ratio
-    (refine_ratio, about cond times the float32 unit roundoff; 0.0 without
-    a step). Raises SingularSystemError naming the skeleton solve on a zero
-    pivot in the double-precision factor or a residual above _RESIDUAL_TOL."""
-    skel, b = system.skeleton, system.rhs
+    residual ||sum_K S_K x_K - b|| / ||b|| of the solution, as the
+    refinement last measured it (skeleton_residual), the precision the
+    fronts ended in (factor_dtype: float32 or complex64, or the system's
+    dtype after a fallback), the refinement steps (refine_steps) and the
+    last step's residual ratio (refine_ratio, about cond times the float32
+    unit roundoff; 0.0 without a step). Raises SingularSystemError naming the skeleton solve on a zero
+    pivot in the double-precision factor, a solution that is not finite or a
+    residual that is not at most _RESIDUAL_TOL."""
     t0 = time.perf_counter()
-    fronts = FrontFactor(system.disc.mesh, skel, system.blocks)
+    fronts = FrontFactor(system.disc.mesh, system.skeleton, system.blocks)
     factor_s = time.perf_counter() - t0
-    x = fronts.solve(b)
-    residual = _checked_residual(x, skel.apply(system.blocks, x), b, "skeleton solve")
+    x = fronts.solve(system.rhs)
+    _checked_residual(x, fronts.residual, "skeleton solve")
     system.diagnostics.update(factor_s=factor_s, lu_fill=int(fronts.fill),
-                              skeleton_residual=residual,
+                              skeleton_residual=fronts.residual,
                               factor_dtype=fronts.factor_dtype.name,
                               refine_steps=fronts.steps, refine_ratio=fronts.ratio)
     uhat = system.dirichlet_values.astype(x.dtype)
@@ -622,17 +621,12 @@ def _check_solvable(mesh, kappa):
 def solve_time_harmonic(disc, material, data, variant):
     """Assemble, solve and reconstruct. Returns (solution, info dict).
 
-    info holds the sizes, phase times (condense_s: local condensation;
-    factor_s: the front factor of the skeleton system), skeleton_nnz (the
-    face-block pattern: nFd^2 entries per pair of skeleton faces on a common
-    element, each face with itself included), the skeleton solve's relative
-    residual, lu_fill (the number of entries the front factor stores: LU(F11)
-    and W of every front), the factor's working precision (factor_dtype:
-    float32 or complex64, refined to the solution's float64 or complex128;
-    the solution's own dtype where the refinement stalled and the fronts were
-    factored again), its refinement steps and last residual ratio
-    (refine_steps, refine_ratio), the range of cond(C, 1) and the number of
-    flagged elements. Raises ValueError for a static pure-traction problem."""
+    info holds the sizes, phase times (condense_s: local condensation),
+    skeleton_nnz (the face-block pattern: nFd^2 entries per pair of skeleton
+    faces on a common element, each face with itself included), the range
+    of cond(C, 1), the number of flagged elements and the skeleton solve's
+    diagnostics (see solve_skeleton). Raises ValueError for a static
+    pure-traction problem."""
     _check_solvable(disc.mesh, data.kappa)
     t0 = time.perf_counter()
     system = assemble_hybrid(disc, material, data, variant)

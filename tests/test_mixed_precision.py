@@ -4,30 +4,31 @@ fallback to a double-precision factor."""
 import numpy as np
 import pytest
 
-from hdg_elastic import (VARIANTS, Discretization, assemble_hybrid, build_structured_cube,
-                         make_case, solve_skeleton, tag_boundary)
+from hdg_elastic import (VARIANTS, Discretization, SingularSystemError, assemble_hybrid,
+                         build_structured_cube, make_case, solve_skeleton, tag_boundary)
 from hdg_elastic.errors import problem_data_from_case
-from hdg_elastic.global_system import factor_skeleton
+from hdg_elastic.global_system import SkeletonMap, factor_skeleton
 
 
 def _skeleton_reference(system):
     return factor_skeleton(system.matrix, "skeleton solve").solve(system.rhs)
 
 
-@pytest.mark.parametrize("variant", ["conservative", "first_order"])
-@pytest.mark.parametrize("delta,steps", [(5 * 2.0 ** -26, 1), (2.0 ** -26, 0)])
-def test_ill_conditioned_block_set_falls_back_to_double(variant, delta, steps):
-    # One interior face decoupled, as in test_zero_face_is_refused, carrying
-    # s I with the block s [[1, 1], [1, 1 + delta]] on two of its dofs. Its
-    # pivots are s and s delta, exact in double precision; the condition
-    # number is about 1e8 (5e8 for the smaller delta). In single precision
-    # 1 + 5 2^-26 rounds to 1 + 2^-23, so the refinement stalls at a step
-    # ratio of about 0.3, and 1 + 2^-26 rounds to 1, a zero pivot.
-    case = make_case("varcoeff", kappa=1.3)
+def _varcoeff_system(variant, kappa=1.0):
+    case = make_case("varcoeff", kappa=kappa)
     disc = Discretization(tag_boundary(build_structured_cube(2), "mixed"), 1)
-    system = assemble_hybrid(disc, case.material, problem_data_from_case(case),
-                             VARIANTS[variant])
-    mesh, skel, nFd = disc.mesh, system.skeleton, system.skeleton.nFd
+    return assemble_hybrid(disc, case.material, problem_data_from_case(case),
+                           VARIANTS[variant])
+
+
+def _decoupled_face_system(variant, delta):
+    """The n=2 k=1 varcoeff system with one interior face decoupled, as in
+    test_zero_face_is_refused, carrying s I with the block
+    s [[1, 1], [1, 1 + delta]] on two of its dofs, s a power of two near the
+    largest block entry. Its pivots are s and s delta, exact in double
+    precision. Returns the system and the mask of the face's skeleton dofs."""
+    system = _varcoeff_system(variant, kappa=1.3)
+    mesh, skel, nFd = system.disc.mesh, system.skeleton, system.skeleton.nFd
     face = np.flatnonzero(mesh.face_elements[:, 1] >= 0)[7]
     hit = (mesh.element_faces == face).repeat(nFd, axis=1)
     system.blocks *= ~(hit[:, :, None] | hit[:, None, :])
@@ -37,6 +38,20 @@ def test_ill_conditioned_block_set_falls_back_to_double(variant, delta, steps):
     owner = mesh.face_elements[face, 0]
     local = np.flatnonzero(hit[owner])
     system.blocks[owner][np.ix_(local, local)] = block
+    on = np.zeros(skel.ndof, bool)
+    on[np.searchsorted(skel.active, face) * nFd + np.arange(nFd)] = True
+    return system, on
+
+
+@pytest.mark.parametrize("variant", ["conservative", "first_order"])
+@pytest.mark.parametrize("delta,steps", [(5 * 2.0 ** -26, 1), (2.0 ** -26, 0)])
+def test_ill_conditioned_block_set_falls_back_to_double(variant, delta, steps):
+    # The condition number is about 1e8 (5e8 for the smaller delta). In
+    # single precision 1 + 5 2^-26 rounds to 1 + 2^-23, so the refinement
+    # stalls at a step ratio of about 0.3, and 1 + 2^-26 rounds to 1, a zero
+    # pivot.
+    system, on = _decoupled_face_system(variant, delta)
+    skel = system.skeleton
     assert 5e7 < np.linalg.cond(system.matrix.toarray()) < 1e9
 
     x = solve_skeleton(system)[skel.active].ravel()
@@ -46,10 +61,45 @@ def test_ill_conditioned_block_set_falls_back_to_double(variant, delta, steps):
     if steps:
         assert info["refine_ratio"] > 0.1
     ref = _skeleton_reference(system)
-    on = np.zeros(skel.ndof, bool)
-    on[np.searchsorted(skel.active, face) * nFd + np.arange(nFd)] = True
     for part in (on, ~on):
         assert np.abs(x[part] - ref[part]).max() <= 1e-12 * np.abs(ref[part]).max()
+
+
+def test_slow_refinement_stays_in_single_precision():
+    # At delta = 8.5 2^-23 (cond_2 7e6) each step cuts the residual by
+    # about 0.06-0.09: refinement converges, only slowly, and needs 7 steps
+    # to reach 1e-14 ||b||, with no second factor. The error on the face is
+    # within cond_2 eps.
+    system, on = _decoupled_face_system("first_order", 8.5 * 2.0 ** -23)
+    x = solve_skeleton(system)[system.skeleton.active].ravel()
+    info = system.diagnostics
+    assert info["factor_dtype"] == "complex64"
+    assert info["refine_steps"] >= 7
+    ref = _skeleton_reference(system)
+    for part, tol in ((on, 1e-9), (~on, 1e-12)):
+        assert np.abs(x[part] - ref[part]).max() <= tol * np.abs(ref[part]).max()
+
+
+@pytest.mark.parametrize("variant", ["conservative", "first_order"])
+def test_skeleton_solve_forms_each_residual_once(variant, monkeypatch):
+    # one scatter per residual: that of the first sweep and one per step;
+    # skeleton_residual is the last of them, not formed again
+    system = _varcoeff_system(variant)
+    calls = []
+    scatter = SkeletonMap.scatter
+    monkeypatch.setattr(SkeletonMap, "scatter",
+                        lambda self, y: calls.append(1) or scatter(self, y))
+    solve_skeleton(system)
+    assert len(calls) == system.diagnostics["refine_steps"] + 1
+
+
+@pytest.mark.parametrize("variant", ["conservative", "first_order"])
+def test_nan_block_entry_is_refused(variant):
+    system = _varcoeff_system(variant)
+    free = np.flatnonzero(system.skeleton.free[0])[0]
+    system.blocks[0, free, free] = np.nan
+    with pytest.raises(SingularSystemError, match="skeleton solve did not converge"):
+        solve_skeleton(system)
 
 
 # The skeleton's cond_2 is 8.4e5 at kappa = 6.275, 1.7e4 at 6.3 and 2e3 to
