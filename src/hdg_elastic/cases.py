@@ -43,7 +43,8 @@ class ExactCase:
         return np.einsum("...ij,...j->...i", self.sigma(x), n)
 
     def g_r(self, x, n):
-        return self.g_n(x, n) + 1j * self.kappa * self.u(x)
+        u, sigma = self.u_sigma(x)
+        return np.einsum("...ij,...j->...i", sigma, n) + 1j * self.kappa * u
 
     def first_order_fields(self, x):
         """u and the first-order (unscaled) stress (i/kappa) sigma at x."""

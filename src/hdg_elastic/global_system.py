@@ -11,7 +11,7 @@ Every global path shares one numbering and one set of operators:
 - The skeleton unknowns of the hybridized (condensed) system are the trace
   dofs of the non-Dirichlet faces, in face order (`SkeletonMap`). Dirichlet
   faces carry known coefficients, the face-wise L2 projection of the
-  boundary datum.
+  boundary datum, and SkeletonMap sends their dofs to a sink that it drops.
 
 The hybrid path keeps the condensed element blocks S_K, with their Dirichlet
 rows and columns zeroed, and solves the skeleton system sum_K S_K x = b by a
@@ -124,9 +124,9 @@ class SkeletonMap:
     """The one numbering of the skeleton unknowns, assembled and factored in
     it: the trace dofs of the non-Dirichlet faces (active) in face order, the
     mesh's nested-dissection order; skeleton dof i is the trace dof dofs[i].
-
-    element_dofs (ne, 4 nFd) gives the skeleton dof of each element-local
-    trace dof where free (a non-Dirichlet face) is True, and 0 elsewhere."""
+    element_dofs (ne, 4 nFd) maps element-local trace dofs to skeleton dofs,
+    the known Dirichlet ones (free False) to the sink ndof, which scatter and
+    matrix drop and gather reads as 0, so ndof = 0 is an ordinary case."""
 
     def __init__(self, mesh, nFd):
         self.active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
@@ -135,7 +135,7 @@ class SkeletonMap:
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
         traces = trace_dofs(mesh, nFd).reshape(mesh.num_elements, -1)
         self.free = (mesh.face_tags != BoundaryTag.DIRICHLET)[traces // nFd]
-        skeleton_dof = np.zeros(mesh.num_faces * nFd, dtype=int)
+        skeleton_dof = np.full(mesh.num_faces * nFd, self.ndof)
         skeleton_dof[self.dofs] = np.arange(self.ndof)
         self.element_dofs = skeleton_dof[traces]
 
@@ -146,15 +146,19 @@ class SkeletonMap:
 
     def matrix(self, S):
         """CSC skeleton matrix of the element blocks S (ne, 4 nFd, 4 nFd),
-        whose Dirichlet rows and columns it zeroes in place."""
-        self.clear_fixed(S)
-        return _scatter(self.element_dofs, self.element_dofs, S,
-                        (self.ndof, self.ndof), sps.csc_matrix)
+        without their Dirichlet rows and columns."""
+        mat = _scatter(self.element_dofs, self.element_dofs, S, (self.ndof + 1,) * 2, sps.csc_matrix)
+        mat.resize(self.ndof, self.ndof)
+        return mat
 
     def scatter(self, y):
-        """Sum of element-local skeleton vectors y (ne, 4 nFd), zero on Dirichlet traces."""
-        sums = lambda part: np.bincount(self.element_dofs.ravel(), part.ravel(), self.ndof)
-        return sums(y.real) + 1j * sums(y.imag) if np.iscomplexobj(y) else sums(y)
+        """Sum of element-local skeleton vectors y (ne, 4 nFd), Dirichlet entries dropped."""
+        sums = lambda part: np.bincount(self.element_dofs.ravel(), part.ravel(), self.ndof + 1)
+        return (sums(y.real) + 1j * sums(y.imag) if np.iscomplexobj(y) else sums(y))[:-1]
+
+    def gather(self, x):
+        """Element-local skeleton vectors (ne, 4 nFd) of x (ndof,), 0 on Dirichlet traces."""
+        return np.append(x, 0)[self.element_dofs]
 
 
 def factor_skeleton(matrix, name):
@@ -198,16 +202,12 @@ def _checked_residual(x, residual, name):
         raise SingularSystemError(f"{name} did not converge (relative residual {residual:.3e})")
 
 
-def _extend_add(F, faces, U, slot, nFd):
-    """F[P, P] += U, with P the dofs of the faces at positions slot[faces] of
-    F, nFd dofs per face: one slice per run of consecutive positions."""
-    p = slot[faces]
-    starts = np.flatnonzero(np.diff(p, prepend=-2) != 1)
-    runs = [(slice(p[a] * nFd, (p[a] + b - a) * nFd), slice(a * nFd, b * nFd))
-            for a, b in zip(starts, np.append(starts[1:], len(p)))]
-    for cols, ucols in runs:
-        for rows, urows in runs:
-            F[rows, cols] += U[urows, ucols]
+def _extend_add(F4, slot, faces, U):
+    """F[P, P] += U through the (nFd, nf, nFd, nf) view F4 of a front F, with
+    P the dofs of the faces, at the front positions slot[faces]: one add by
+    position, as the faces are distinct."""
+    nFd, m, p = len(F4), len(faces), slot[faces]
+    F4[:, p[:, None], :, p] += U.reshape((nFd, m, nFd, m), order="F").transpose(1, 3, 0, 2)
 
 
 class FrontFactor:
@@ -295,15 +295,15 @@ class FrontFactor:
             slot[bounds[i]:bounds[i + 1]] = np.arange(n_own)
             slot[update] = np.arange(n_own, nf)
             F = np.zeros((n, n), dtype, order="F")
-            # a leaf's blocks, pair by pair of free faces, added into the
-            # (nFd, nf, nFd, nf) view of F, whose [a, p, b, q] is F[p nFd + a, q nFd + b];
-            # cast before the add, as a casting np.add.at is twice as slow
+            # F4[a, p, b, q] is F[p nFd + a, q nFd + b]; a leaf's blocks, pair by pair
+            # of free faces, are added by np.add.at, as its elements share faces,
+            # and cast before the add, as a casting np.add.at is twice as slow
+            F4 = F.reshape((nFd, nf, nFd, nf), order="F")
             e, f, g = np.nonzero((faces >= 0)[:, :, None] & (faces >= 0)[:, None, :])
-            np.add.at(F.reshape((nFd, nf, nFd, nf), order="F"),
-                      (slice(None), slot[faces[e, f]], slice(None), slot[faces[e, g]]),
+            np.add.at(F4, (slice(None), slot[faces[e, f]], slice(None), slot[faces[e, g]]),
                       S4[elements[e], f, g].astype(dtype))
             for _ in range(kids[i]):
-                _extend_add(F, *stack.pop(first), slot, nFd)
+                _extend_add(F4, slot, *stack.pop(first))
             if n1 > 0:
                 lu, piv, info = getrf(F[:n1, :n1], overwrite_a=True)
                 if info > 0:
@@ -339,9 +339,9 @@ class FrontFactor:
         return x
 
     def _residual(self, b, x):
-        """b - sum_K S_K x_K in dtype, and its rounding level
-        eps (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2)."""
-        xK = x[self._skel.element_dofs] * self._skel.free
+        """b - sum_K S_K x_K in dtype, x_K gathered and the products scattered
+        by skel, and its rounding level eps (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2)."""
+        xK = self._skel.gather(x)
         floor = np.finfo(self.dtype).eps * np.linalg.norm(
             self._block_norms * np.linalg.norm(xK, axis=1))
         return b - self._skel.scatter(self._S @ xK[:, :, None]), floor
@@ -529,7 +529,7 @@ def assemble_hybrid(disc, material, data, variant):
         flags[batch] = resolution_flags(data.kappa, blocks.h, blocks.wave_bound)
 
     traces = trace_dofs(mesh, nFd).reshape(ne, -1)
-    loads = (loads - (S @ dir_values.ravel()[traces][:, :, None])[:, :, 0]) * skel.free
+    loads -= (S @ dir_values.ravel()[traces][:, :, None])[:, :, 0]
     S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]   # one element per impedance face
     skel.clear_fixed(S)
     rhs = g[skel.dofs] + skel.scatter(loads)

@@ -177,10 +177,9 @@ def element_blocks(disc, material, elements):
     nS, nW3, nFd = 6 * nV, 3 * nW, 3 * nF
     wq = disc.vol_rule.weights
     pts = disc.element_points(elements)                          # (nb, nq, 3)
-    material.validate(pts)
+    lam, mu, rho = material.validate(pts)      # each field evaluated once
 
     # M[c][i, j] = sum_q w_q c(x_q) phi_i phi_j for c = 1/(2 mu), 1/(2 mu + 3 lam)
-    lam, mu = material.lam(pts), material.mu(pts)
     coef = np.stack([1.0 / (2.0 * mu), 1.0 / (2.0 * mu + 3.0 * lam)], axis=1)
     phiphi = (wq[:, None, None] * disc.phi_ref[:, :, None]
               * disc.phi_ref[:, None, :]).reshape(len(wq), nV * nV)
@@ -194,7 +193,7 @@ def element_blocks(disc, material, elements):
 
     psipsi = (wq[:, None, None] * disc.psi_ref[:, :, None]
               * disc.psi_ref[:, None, :]).reshape(len(wq), nW * nW)
-    M = _kron3((material.rho(pts)[:, None, :] @ psipsi).reshape(nb, nW, nW))
+    M = _kron3((rho[:, None, :] @ psipsi).reshape(nb, nW, nW))
 
     faces = mesh.element_faces[elements]                         # (nb, 4)
     phi_f, psi_f, normals = disc.element_face_tables(elements[:, None], np.arange(4))
@@ -207,7 +206,7 @@ def element_blocks(disc, material, elements):
     tau = disc.tau(elements)
     T11 = tau[:, None, None] * _kron3((np.swapaxes(g, 2, 3) @ g).sum(axis=1))
 
-    wave_bound = np.max(material.compliance_bound(pts) * material.rho(pts), axis=-1)
+    wave_bound = np.max(coef.max(axis=1) * rho, axis=-1)   # |A| = max of the two coefficients
     return LocalBlocks(elements, A, A_masses, D, M, T11, N, G, tau, disc.h[elements],
                        nS, nW3, nFd, wave_bound)
 

@@ -158,6 +158,7 @@ def _check_moduli(lam, mu, rho):
                               ("rho", "rho > 0", rho > 0)):
         if not np.all(holds):
             raise ValueError(f"material field {name} violates {rule}")
+    return lam, mu, rho
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,9 @@ class Material:
         return _values(self.mu_fn, points)
 
     def validate(self, points):
-        """Raise ValueError, naming the field, unless mu > 0, 3*lam + 2*mu > 0
-        and rho > 0 at every point; a NaN fails."""
-        _check_moduli(self.lam(points), self.mu(points), self.rho(points))
+        """(lam, mu, rho) at points; raises ValueError, naming the field,
+        unless mu > 0, 3*lam + 2*mu > 0 and rho > 0 at every point (a NaN fails)."""
+        return _check_moduli(self.lam(points), self.mu(points), self.rho(points))
 
     def compliance_packed(self, points):
         """(..., 6, 6) entry representation of the inverse law A = C^-1."""

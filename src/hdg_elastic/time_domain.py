@@ -190,17 +190,16 @@ class SemidiscreteSystem:
         """The hybrid system at (kappa2, alpha) of step size dt, condensed for
         every load: its skeleton factor and, per element, the maps L_K of the
         load moments f_K to the skeleton loads and X_K, Z_K to the displacement
-        X_K m_K + Z_K f_K, zero on Dirichlet traces. Raises as condense_batch
-        and factor_skeleton do."""
+        X_K m_K + Z_K f_K; the skeleton map drops and zeroes the Dirichlet
+        traces. Raises as condense_batch and factor_skeleton do."""
         parts = []
         for b in self._blocks:
             eye = np.broadcast_to(np.eye(b.nW3), (len(b.element), b.nW3, b.nW3))
             S, L, X, Z, _ = condense_batch(b, kappa2, alpha, eye)
             parts.append((S, L, X[:, b.nS:], Z[:, b.nS:]))
         S, L, X, Z = (np.concatenate(p) for p in zip(*parts))
-        free = self.skeleton.free
         lu = factor_skeleton(self.skeleton.matrix(S), f"{self.flux} flux: step (dt={dt}) factor")
-        return lu, L * free[:, :, None], X * free[:, None, :], Z
+        return lu, L, X, Z
 
     def _solve(self, step, f, rhs):
         """Trace and displacement unknowns (m, u) of a condensed step with load
@@ -208,7 +207,7 @@ class SemidiscreteSystem:
         skel, (lu, L, X, Z) = self.skeleton, step
         f = f.reshape(len(Z), -1, 1)
         m = lu.solve(rhs + skel.scatter(L @ f))
-        return m, (X @ m[skel.element_dofs][:, :, None] + Z @ f).ravel()
+        return m, (X @ skel.gather(m)[:, :, None] + Z @ f).ravel()
 
     def _first_order_operator(self, dt):
         """Condensed trapezoidal step: the hybrid system at (kappa^2, alpha) =

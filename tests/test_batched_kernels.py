@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from hdg_elastic import (VARIANTS, Discretization, ProblemData,
+from hdg_elastic import (VARIANTS, Discretization, Material, ProblemData,
                          SingularLocalSolverError, assemble_hybrid,
                          build_structured_cube, make_case, reconstruct,
                          solve_skeleton, solve_time_harmonic, tag_boundary,
@@ -88,6 +88,21 @@ def test_load_is_evaluated_one_element_batch_at_a_time():
     assemble_hybrid(disc, variable_preset(), counted, VARIANTS["first_order"])
     assert len(batches) > 1
     assert [np.prod(c) for c in calls] == [len(b) * nq for b in batches]
+
+
+def test_element_blocks_evaluate_each_material_field_once():
+    # lam, mu and rho are each called once per batch, on all its points
+    disc = Discretization(tag_boundary(build_structured_cube(1), "mixed"), 1)
+    base, calls = variable_preset(), []
+    count = lambda name, fn: lambda *x: calls.append((name, np.shape(x[0]))) or fn(*x)
+    material = Material(count("rho", base.rho_fn), count("lam", base.lam_fn),
+                        count("mu", base.mu_fn))
+    batch = np.arange(3)
+    blocks, ref = element_blocks(disc, material, batch), element_blocks(disc, base, batch)
+    points = disc.element_points(batch).shape[:-1]
+    assert sorted(calls) == [("lam", points), ("mu", points), ("rho", points)]
+    for name in ("A", "M", "wave_bound"):
+        assert np.array_equal(getattr(blocks, name), getattr(ref, name))
 
 
 def test_recovery_from_kept_solvers_matches_recover(mixed2):

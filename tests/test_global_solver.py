@@ -14,7 +14,7 @@ from scipy.linalg import block_diag
 
 from hdg_elastic import (VARIANTS, BoundaryTag, Discretization, ProblemData,
                          SingularSystemError, assemble_hybrid, build_structured_cube,
-                         flux_residual, load_solution, make_case, outward_normal,
+                         flux_residual, load_mesh, load_solution, make_case, outward_normal,
                          save_solution, solve_monolithic, solve_skeleton,
                          solve_time_harmonic, tag_boundary)
 from hdg_elastic import global_system
@@ -131,6 +131,22 @@ def test_first_order_form_equivalence(poly_setup):
     assert np.abs(ref.u - sol.u).max() < 1e-10 * np.abs(sol.u).max()
     scaled = sol.first_order_stress()
     assert np.abs(ref.sigma - scaled).max() < 1e-10 * np.abs(scaled).max()
+
+
+@pytest.mark.parametrize("tag", ["first_order", "conservative"])
+def test_mesh_without_skeleton_unknowns(tmp_path, tag):
+    # one all-Dirichlet tetrahedron: every trace is known data, the skeleton
+    # system is empty and the hybrid solve is the local solve alone
+    path = tmp_path / "tet.txt"
+    path.write_text("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3\n")
+    disc = Discretization(tag_boundary(load_mesh(path), "all-dirichlet"), 1)
+    case = make_case("varcoeff", kappa=1.3)
+    data = problem_data_from_case(case)
+    sol, info = solve_time_harmonic(disc, case.material, data, VARIANTS[tag])
+    ref = solve_monolithic(disc, case.material, data, VARIANTS[tag])
+    assert info["dofs_skeleton"] == 0
+    for a, b in ((sol.u, ref.u), (sol.sigma, ref.sigma), (sol.uhat, ref.uhat)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_flux_single_valued_varcoeff():

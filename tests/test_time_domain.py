@@ -9,7 +9,7 @@ import pytest
 from hdg_elastic import global_system
 from hdg_elastic import (FLUXES, VARIANTS, Discretization, SemidiscreteSystem,
                          SingularSystemError, TimeState, assemble_monolithic, build_structured_cube,
-                         isotropic, make_case, tag_boundary, variable_preset,
+                         isotropic, load_mesh, make_case, tag_boundary, variable_preset,
                          write_energy_trace)
 from hdg_elastic.global_system import ProblemData
 from hdg_elastic.mesh import BoundaryTag
@@ -22,6 +22,14 @@ def systems():
     mat = variable_preset()
     return disc, mat, {flux: SemidiscreteSystem(disc, mat, flux)
                        for flux in FLUXES}
+
+
+@pytest.fixture(scope="module")
+def tetrahedron(tmp_path_factory):
+    """One all-Dirichlet tetrahedron: no skeleton unknowns at all."""
+    path = tmp_path_factory.mktemp("mesh") / "tet.txt"
+    path.write_text("4 1\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 3\n")
+    return Discretization(tag_boundary(load_mesh(path), "all-dirichlet"), 1)
 
 
 def random_state(system, seed):
@@ -207,29 +215,29 @@ def test_effective_stiffness_spd(systems):
     assert np.linalg.eigvalsh(K).min() > -1e-10 * np.abs(K).max()
 
 
-def test_dissipative_nonincreasing(systems):
-    _, _, sys_map = systems
-    system = sys_map["dissipative"]
-    state = random_state(system, 9)
-    prev = system.energy(state)
-    for _ in range(50):
-        state = system.step(state, 0.02)
-        cur = system.energy(state)
-        assert cur <= prev + 1e-10 * max(prev, 1.0)
-        prev = cur
+def test_dissipative_nonincreasing(systems, tetrahedron):
+    _, mat, sys_map = systems
+    for system in (sys_map["dissipative"], SemidiscreteSystem(tetrahedron, mat, "dissipative")):
+        state = random_state(system, 9)
+        prev = system.energy(state)
+        for _ in range(50):
+            state = system.step(state, 0.02)
+            cur = system.energy(state)
+            assert cur <= prev + 1e-10 * max(prev, 1.0)
+            prev = cur
 
 
-def test_conservative_bounded_drift(systems):
-    _, _, sys_map = systems
-    system = sys_map["conservative"]
-    state = random_state(system, 10)
-    e0 = system.energy(state)
-    energies = [e0]
-    for _ in range(100):
-        state = system.step(state, 0.01)
-        energies.append(system.energy(state))
-    drift = (max(energies) - min(energies)) / e0
-    assert drift < 0.05
+def test_conservative_bounded_drift(systems, tetrahedron):
+    _, mat, sys_map = systems
+    for system in (sys_map["conservative"], SemidiscreteSystem(tetrahedron, mat, "conservative")):
+        state = random_state(system, 10)
+        e0 = system.energy(state)
+        energies = [e0]
+        for _ in range(100):
+            state = system.step(state, 0.01)
+            energies.append(system.energy(state))
+        drift = (max(energies) - min(energies)) / e0
+        assert drift < 0.05
 
 
 def test_accumulating_nondecreasing_exact_flow(systems):
