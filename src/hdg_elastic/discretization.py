@@ -32,13 +32,18 @@ def _evaluate(field, pts):
     return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
+def _rmul(R, Z):
+    """R @ Z without promoting a real R: a real R multiplies a complex Z in real
+    arithmetic on Z's interleaved parts."""
+    if np.iscomplexobj(R) or np.isrealobj(Z):
+        return R @ Z
+    return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
+
+
 def moments(wts, vals, table):
     """Quadrature moments sum_q w_q table_qi vals_qd of point values vals
     (..., nq, d) against a real basis table (..., nq, n), as (..., n, d): one
     stacked matmul, in real arithmetic also for complex values."""
-    # imported at call time: local_ops builds on this module, and importing it
-    # from here made the package import 4-6 ms slower (2-core host)
-    from .local_ops import _rmul
     return _rmul(np.swapaxes(table, -1, -2), wts[..., None] * vals)
 
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Discretization, moments
+from .discretization import Discretization, _rmul, moments
 from .global_system import ProblemData, solve_time_harmonic
-from .local_ops import VARIANTS, _rmul, element_batches
+from .local_ops import VARIANTS, element_batches
 # unused here; perfbench/tracing.py wraps it through this module's binding
 from .local_ops import assemble_local_blocks  # noqa: F401
 from .materials import FROBENIUS_WEIGHTS, SYM_MATS, pack_sym

@@ -13,17 +13,18 @@ Every global path shares one numbering and one set of operators:
   faces carry known coefficients, the face-wise L2 projection of the
   boundary datum, and SkeletonMap sends their dofs to a sink that it drops.
 
-The hybrid path keeps the condensed element blocks S_K, with their Dirichlet
-rows and columns zeroed, and solves the skeleton system sum_K S_K x = b by a
-multifrontal LU (FrontFactor) over the mesh's dissection tree: dense fronts
-assembled straight from the blocks, factored by LAPACK in single precision,
-with no sparse skeleton matrix and no SuperLU. The tree's subtrees are
-contiguous ranges of the face numbering, so a node's own faces are one range
-of skeleton dofs. The factor keeps one record per front (own dofs, update
-dofs, LU and W) for both solve sweeps, and passes the children's updates to
-their parent on a stack in postorder (Liu 1992). Its solve refines the
-answer to double precision with residuals summed element by element, and
-refactors in double precision where refinement stalls.
+The hybrid path keeps the condensed element blocks S_K whole, with their
+Dirichlet rows and columns, which only SkeletonMap drops, and solves the
+skeleton system sum_K S_K x = b by a multifrontal LU (FrontFactor) over
+the mesh's dissection tree: dense fronts assembled straight from the blocks,
+factored by LAPACK in single precision, with no sparse skeleton matrix and
+no SuperLU. The tree's subtrees are contiguous ranges of the face numbering,
+so a node's own faces are one range of skeleton dofs. The factor keeps one
+record per front (own dofs, update dofs, LU and W) for both solve sweeps,
+and passes the children's updates to their parent on a stack in postorder
+(Liu 1992). Its solve refines the answer to double precision with residuals
+summed element by element, and refactors in double precision where
+refinement stalls.
 
 The uncondensed systems - the second-order form in (stress, displacement,
 traces) and the first-order form in the unscaled stress - are block matrices
@@ -124,25 +125,20 @@ class SkeletonMap:
     """The one numbering of the skeleton unknowns, assembled and factored in
     it: the trace dofs of the non-Dirichlet faces (active) in face order, the
     mesh's nested-dissection order; skeleton dof i is the trace dof dofs[i].
-    element_dofs (ne, 4 nFd) maps element-local trace dofs to skeleton dofs,
-    the known Dirichlet ones (free False) to the sink ndof, which scatter and
-    matrix drop and gather reads as 0, so ndof = 0 is an ordinary case."""
+    element_dofs (ne, 4 nFd) maps element-local trace dofs to skeleton dofs
+    and element_faces (ne, 4) local faces to skeleton faces, the known
+    Dirichlet ones to the sinks ndof and len(active); scatter and matrix drop
+    the sink and gather reads it as 0, so ndof = 0 is an ordinary case."""
 
     def __init__(self, mesh, nFd):
         self.active = np.flatnonzero(mesh.face_tags != BoundaryTag.DIRICHLET)
         self.nFd = nFd
         self.ndof = len(self.active) * nFd
         self.dofs = (self.active[:, None] * nFd + np.arange(nFd)).ravel()
-        traces = trace_dofs(mesh, nFd).reshape(mesh.num_elements, -1)
-        self.free = (mesh.face_tags != BoundaryTag.DIRICHLET)[traces // nFd]
         skeleton_dof = np.full(mesh.num_faces * nFd, self.ndof)
         skeleton_dof[self.dofs] = np.arange(self.ndof)
-        self.element_dofs = skeleton_dof[traces]
-
-    def clear_fixed(self, S):
-        """Zero the Dirichlet rows and columns of the element blocks S
-        (ne, 4 nFd, 4 nFd) in place."""
-        S *= self.free[:, :, None] & self.free[:, None, :]
+        self.element_dofs = skeleton_dof[trace_dofs(mesh, nFd).reshape(mesh.num_elements, -1)]
+        self.element_faces = self.element_dofs[:, ::nFd] // nFd
 
     def matrix(self, S):
         """CSC skeleton matrix of the element blocks S (ne, 4 nFd, 4 nFd),
@@ -213,8 +209,9 @@ def _extend_add(F4, slot, faces, U):
 class FrontFactor:
     """Multifrontal LU of the skeleton matrix sum_K S_K over the mesh's
     DissectionTree, assembled straight from the element blocks S (ne, 4 nFd,
-    4 nFd), whose Dirichlet rows and columns are zero, in single precision
-    (float32, complex64 for complex S) and refined in S's.
+    4 nFd) in single precision (float32, complex64 for complex S) and refined
+    in S's. Only the blocks of pairs of skeleton faces (skel.element_faces)
+    are read; the Dirichlet rows and columns of S may hold anything finite.
 
     fronts holds one record (own, update, lu, piv, W) per node with own dofs,
     in postorder: node i eliminates the skeleton dofs own (a slice), those of
@@ -246,37 +243,40 @@ class FrontFactor:
     element products in dtype. It stops once ||r|| <= _REFINE_TOL ||b||, the
     level of a double-precision factor's residual, or once ||r|| <= eps
     (sum_K ||S_K||_F^2 ||x_K||^2)^(1/2), the rounding level of the residual
-    itself, a backward error of about eps in the blocks; for some problems
-    that lies above the first. Refinement goes on while each step cuts ||r||
-    by _REFINE_RATIO or more, so a solve ends within 1 + log10(||r_0|| /
-    (_REFINE_TOL ||b||)) steps. Where a step cuts it by less, or ||r|| is
-    not finite, the single-precision factor is too poor for the matrix: the
-    fronts are factored again in dtype, factor_dtype records it, and that
-    solve and every later one are one direct sweep. A zero pivot in single
-    precision does the same at once; one in dtype raises
-    SingularSystemError. steps and ratio hold the last solve's refinement
-    steps and its last ||r_{i+1}|| / ||r_i|| (0.0 before the first step),
-    about cond(S) times the single-precision unit roundoff, and residual
-    the ||r|| / ||b|| of the x it returned."""
+    itself (||S_K||_F over the blocks of skeleton face pairs), a backward
+    error of about eps in the blocks; for some problems that lies above the
+    first. Refinement goes on while each step cuts ||r|| by _REFINE_RATIO or
+    more, so a solve ends within 1 + log10(||r_0|| / (_REFINE_TOL ||b||))
+    steps. Where a step cuts it by less, or ||r|| is not finite, the
+    single-precision factor is too poor for the matrix: the fronts are
+    factored again in dtype, factor_dtype records it, and that solve and
+    every later one are one direct sweep. A zero pivot in single precision
+    does the same at once; one in dtype raises SingularSystemError. steps
+    and ratio hold the last solve's refinement steps and its last
+    ||r_{i+1}|| / ||r_i|| (0.0 before the first step), about cond(S) times
+    the single-precision unit roundoff, and residual the ||r|| / ||b|| of
+    the x it returned."""
 
     def __init__(self, mesh, skel, S):
-        self._mesh, self._skel, self._S = mesh, skel, S
+        self._tree, self._skel, self._S = mesh.dissection, skel, S
         self.dtype = S.dtype
-        R = S.reshape(len(S), -1).view(S.real.dtype)
-        self._block_norms = np.sqrt(np.einsum("ei,ei->e", R, R))   # ||S_K||_F
+        # ||S_K||_F: the squares summed over each face pair's block, then over
+        # the skeleton face pairs, with no masked copy of S
+        R = S.view(S.real.dtype).reshape(len(S), 4, skel.nFd, 4, -1)
+        free = skel.element_faces < len(skel.active)
+        pairs = np.where(free[:, :, None] & free[:, None, :], np.einsum("efagb,efagb->efg", R, R), 0)
+        self._block_norms = np.sqrt(pairs.sum(axis=(1, 2)))
         try:
             self._factor(np.complex64 if S.dtype.kind == "c" else np.float32)
         except SingularSystemError:
             self._factor(S.dtype)
 
     def _factor(self, dtype):
-        mesh, skel, S = self._mesh, self._skel, self._S
-        tree, nFd = mesh.dissection, skel.nFd
-        face = np.full(mesh.num_faces, -1)      # skeleton face of each face, -1 on Dirichlet
-        face[skel.active] = np.arange(len(skel.active))
+        tree, skel, S = self._tree, self._skel, self._S
+        nFd, sink = skel.nFd, len(skel.active)
         bounds = np.searchsorted(skel.active, tree.face_bounds)
         kids = np.bincount(tree.parent[tree.parent >= 0], minlength=len(tree.parent))
-        slot = np.empty(len(skel.active), int)   # front position at the current node
+        slot = np.empty(sink, int)   # front position at the current node
         self.factor_dtype = np.dtype(dtype)
         getrf, getri, self._getrs = get_lapack_funcs(("getrf", "getri", "getrs"), dtype=dtype)
         gemm, self._gemv = get_blas_funcs(("gemm", "gemv"), dtype=dtype)
@@ -285,10 +285,10 @@ class FrontFactor:
         self.fronts, self.fill, stack = [], 0, []
         for i in range(len(tree.parent)):
             elements = tree.elements[tree.element_bounds[i]:tree.element_bounds[i + 1]]
-            faces = face[mesh.element_faces[elements]]
+            faces = skel.element_faces[elements]
             first = len(stack) - kids[i]         # the children's entries
             reach = np.concatenate([faces.ravel()] + [u for u, _ in stack[first:]])
-            update = np.unique(reach[reach >= bounds[i + 1]])
+            update = np.unique(reach[(reach >= bounds[i + 1]) & (reach < sink)])
             n_own = bounds[i + 1] - bounds[i]
             nf = n_own + len(update)
             n1, n = n_own * nFd, nf * nFd
@@ -296,10 +296,11 @@ class FrontFactor:
             slot[update] = np.arange(n_own, nf)
             F = np.zeros((n, n), dtype, order="F")
             # F4[a, p, b, q] is F[p nFd + a, q nFd + b]; a leaf's blocks, pair by pair
-            # of free faces, are added by np.add.at, as its elements share faces,
-            # and cast before the add, as a casting np.add.at is twice as slow
+            # of skeleton faces, are added by np.add.at, as its elements share
+            # faces, and cast before the add, as a casting np.add.at is twice as slow
             F4 = F.reshape((nFd, nf, nFd, nf), order="F")
-            e, f, g = np.nonzero((faces >= 0)[:, :, None] & (faces >= 0)[:, None, :])
+            free = faces < sink
+            e, f, g = np.nonzero(free[:, :, None] & free[:, None, :])
             np.add.at(F4, (slice(None), slot[faces[e, f]], slice(None), slot[faces[e, g]]),
                       S4[elements[e], f, g].astype(dtype))
             for _ in range(kids[i]):
@@ -467,7 +468,7 @@ class HybridSystem:
     blocks, rhs and interior take the problem's dtype (assemble_hybrid):
     float64 for a real alpha, no impedance face and real data, complex
     otherwise; solvers take the dtype of alpha."""
-    blocks: np.ndarray            # (ne, 4 nFd, 4 nFd) S_K, zero on Dirichlet rows and columns
+    blocks: np.ndarray            # (ne, 4 nFd, 4 nFd) S_K, Dirichlet rows and columns included
     rhs: np.ndarray
     skeleton: SkeletonMap
     dirichlet_values: np.ndarray  # (nfaces, 3, nF), zero off Dirichlet faces
@@ -486,7 +487,8 @@ class HybridSystem:
 def assemble_hybrid(disc, material, data, variant):
     """Condensed skeleton system for the trace unknowns, scattered once into
     the skeleton numbering: the known Dirichlet traces are lifted into the
-    loads (loads -= S_K m_D,K), and their rows and columns of S_K are zeroed.
+    loads (loads -= S_K m_D,K); S_K keeps their rows and columns, which the
+    skeleton map drops.
     Its dtype is np.result_type(alpha, impedance term, data), with the load
     moments, the Dirichlet projection and the boundary moments as data.
 
@@ -531,11 +533,10 @@ def assemble_hybrid(disc, material, data, variant):
     traces = trace_dofs(mesh, nFd).reshape(ne, -1)
     loads -= (S @ dir_values.ravel()[traces][:, :, None])[:, :, 0]
     S.reshape(ne, -1)[:, ::nM + 1] += imp[traces]   # one element per impedance face
-    skel.clear_fixed(S)
     rhs = g[skel.dofs] + skel.scatter(loads)
     # face pairs of the pattern: each face with itself, and two faces of an
     # element, which share no other element
-    free_faces = skel.free[:, ::nFd].sum(axis=1)
+    free_faces = (skel.element_faces < len(skel.active)).sum(axis=1)
     pattern = len(skel.active) + int((free_faces * (free_faces - 1)).sum())
     diagnostics = {"condense_s": condense_s, "skeleton_nnz": pattern * nFd ** 2,
                    "local_cond_min": float(cond.min()),
@@ -739,8 +740,7 @@ def flux_residual(disc, material, data, variant, solution):
     alpha = variant.alpha(data.kappa)
     s, u, m = solution.sigma.ravel(), solution.u.ravel(), solution.uhat.ravel()
     residual = ops.N @ s - alpha * (ops.T12.T @ u - ops.t22 * m) - g + imp * m
-    free = np.repeat(disc.mesh.face_tags != BoundaryTag.DIRICHLET, 3 * disc.nF)
-    return float(np.abs(residual[free]).max(initial=0.0))
+    return float(np.abs(residual[SkeletonMap(disc.mesh, 3 * disc.nF).dofs]).max(initial=0.0))
 
 
 def save_solution(path, solution, header=None):

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .discretization import _rmul
 from .materials import SYM_MATS
 
 _COND_LIMIT = 1e13
@@ -268,14 +269,6 @@ def _coupling(fact):
     B_in = np.vstack([b.N.reshape(b.nM, b.nS).T,
                       -fact.alpha * b.tau * b.G.reshape(b.nM, b.nW3).T])
     return B_in, B_in.T
-
-
-def _rmul(R, Z):
-    """R @ Z without promoting a real R: a real R multiplies a complex Z in real
-    arithmetic on Z's interleaved parts."""
-    if np.iscomplexobj(R) or np.isrealobj(Z):
-        return R @ Z
-    return (R @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
 
 
 def _inverse_norm1(Ainv, P_D, Sinv):

@@ -152,20 +152,20 @@ class SemidiscreteSystem:
             e += 0.5 * self._tau_form(state.u, m)
         return float(e)
 
-    def _tau_form(self, u, m):
-        """||P_M u - u_hat||_tau^2 as a quadratic form in coefficients."""
-        return float(u @ (self.T11 @ u) - 2.0 * u @ (self.T12 @ m)
-                     + m @ (self.t22 * m))
+    def _tau_form(self, u, m, w=None, n=None):
+        """(P_M u - u_hat, P_M w - w_hat)_tau as a bilinear form in the
+        coefficients (u, m) and (w, n); ||P_M u - u_hat||_tau^2 without (w, n)."""
+        if w is None:
+            w, n = u, m
+        return float(u @ (self.T11 @ w) - u @ (self.T12 @ n) - w @ (self.T12 @ m)
+                     + m @ (self.t22 * n))
 
     def energy_rate(self, state):
         """dE/dt along the semidiscrete vector field (chain rule, analytic; no mass solve)."""
         if self.flux == "conservative":
             ku, s, m = self._stiffness(state.u)
             ds, dm = self.slave_conservative(state.v)
-            rate = s @ (self.A @ ds) - state.v @ ku
-            rate += (state.u @ (self.T11 @ state.v) - state.v @ (self.T12 @ m)
-                     - state.u @ (self.T12 @ dm) + dm @ (self.t22 * m))
-            return float(rate)
+            return float(s @ (self.A @ ds) - state.v @ ku + self._tau_form(state.u, m, state.v, dm))
         s = self.stress_from(state.u, state.m)
         dm = self.trace_rate(state.v, s)
         ds = self.stress_from(state.v, dm)
@@ -175,9 +175,7 @@ class SemidiscreteSystem:
     def velocity_mismatch(self, state):
         """||P_M v - u_hat'||_tau^2 for the rate fluxes."""
         s = self.stress_from(state.u, state.m)
-        dm = self.trace_rate(state.v, s)
-        return float(state.v @ (self.T11 @ state.v)
-                     - 2.0 * state.v @ (self.T12 @ dm) + dm @ (self.t22 * dm))
+        return self._tau_form(state.v, self.trace_rate(state.v, s))
 
     # ---- condensed operators ----
 
@@ -190,8 +188,8 @@ class SemidiscreteSystem:
         """The hybrid system at (kappa2, alpha) of step size dt, condensed for
         every load: its skeleton factor and, per element, the maps L_K of the
         load moments f_K to the skeleton loads and X_K, Z_K to the displacement
-        X_K m_K + Z_K f_K; the skeleton map drops and zeroes the Dirichlet
-        traces. Raises as condense_batch and factor_skeleton do."""
+        X_K m_K + Z_K f_K; the skeleton map drops the Dirichlet traces, and
+        gather reads them as 0. Raises as condense_batch and factor_skeleton do."""
         parts = []
         for b in self._blocks:
             eye = np.broadcast_to(np.eye(b.nW3), (len(b.element), b.nW3, b.nW3))

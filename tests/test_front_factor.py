@@ -1,5 +1,7 @@
 """The multifrontal skeleton factor against SuperLU on the scattered matrix."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hdg_elastic import (VARIANTS, Discretization, SingularSystemError, assemble
 from hdg_elastic import global_system
 from hdg_elastic.errors import problem_data_from_case
 from hdg_elastic.global_system import factor_skeleton
+from hdg_elastic.local_ops import condense_batch, element_blocks
 
 
 def varcoeff_system(n, k, bc, variant):
@@ -40,6 +43,41 @@ def test_front_factor_matches_sparse_factor(n, k, bc, variant, monkeypatch):
     # the face-block pattern is the scattered matrix's, without exact zeros
     assert info["skeleton_nnz"] == system.matrix.nnz
     assert info["skeleton_nnz"] <= info["lu_fill"]
+
+
+def _dirichlet_entries(system):
+    """Mask (ne, 4 nFd, 4 nFd) of the Dirichlet rows and columns of the blocks."""
+    fixed = system.skeleton.element_dofs == system.skeleton.ndof
+    return fixed[:, :, None] | fixed[:, None, :]
+
+
+@pytest.mark.parametrize("variant", ["conservative", "first_order"])
+def test_blocks_keep_dirichlet_rows_and_columns(variant):
+    system = varcoeff_system(2, 1, "mixed", variant)
+    disc, kappa = system.disc, system.kappa
+    ne = disc.mesh.num_elements
+    blocks = element_blocks(disc, make_case("varcoeff", kappa=kappa).material, np.arange(ne))
+    S = condense_batch(blocks, kappa ** 2, system.variant.alpha(kappa),
+                       np.zeros((ne, 3 * disc.nW)))[0]
+    fixed = _dirichlet_entries(system)
+    assert np.abs(S[fixed]).max() > 0
+    assert np.array_equal(system.blocks[fixed], S[fixed])
+
+
+@pytest.mark.parametrize("variant", ["conservative", "first_order"])
+def test_solve_ignores_dirichlet_rows_and_columns(variant):
+    # only SkeletonMap drops these entries: neither the fronts, the residual
+    # nor its rounding level may read them
+    system = varcoeff_system(2, 1, "mixed", variant)
+    changed = replace(system, blocks=system.blocks.copy(), diagnostics=dict(system.diagnostics))
+    fixed = _dirichlet_entries(system)
+    rng = np.random.default_rng(29)
+    noise = rng.uniform(-1, 1, (2, fixed.sum())) * 1e6 * np.abs(system.blocks).max()
+    changed.blocks[fixed] = noise[0] + 1j * noise[1] if changed.blocks.dtype.kind == "c" else noise[0]
+    x, y = solve_skeleton(system), solve_skeleton(changed)
+    assert np.array_equal(x, y)
+    for key in ("skeleton_residual", "refine_steps", "refine_ratio"):
+        assert system.diagnostics[key] == changed.diagnostics[key], key
 
 
 def test_singular_block_set_is_refused():
