@@ -12,7 +12,7 @@ from .global_system import (HybridSystem, ProblemData, SingularSystemError,
                             solve_time_harmonic)
 from .local_ops import (CONSERVATIVE, FIRST_ORDER, KAPPA_SCALED, TIME_REVERSED,
                         VARIANTS, FluxVariant, LocalBlocks, SingularLocalSolverError)
-from .materials import (FROBENIUS_WEIGHTS, SYM_COMPONENTS, SYM_MATS, Jet, Material,
+from .materials import (FROBENIUS_WEIGHTS, SYM_COMPONENTS, SYM_INDEX, SYM_MATS, Jet, Material,
                         isotropic, pack_sym, unpack_sym, variable_preset)
 from .mesh import (BoundaryTag, Mesh, build_structured_cube, load_mesh,
                    outward_normal, save_mesh, tag_boundary)

@@ -5,10 +5,11 @@ coordinate function of (x1, x2, x3), like the material's fields, written with
 the cos, sin and exp of materials.py. The stress
 sigma = mu (grad u + grad u^T) + lam div(u) I is written once, as a function
 of coordinates that seeds u one materials.Jet level above them and takes
-grad u from its partials. On arrays it gives sigma; on seeded coordinates it
-gives sigma as jets, and the load f = div(sigma) + kappa^2 rho u is read from
-their partials. Both are exact up to roundoff, so the data satisfy the
-governing equations. Boundary
+grad u from its partials. It forms each of the six packed components of
+sigma (SYM_COMPONENTS, as the solver stores sigma) once. On arrays it gives
+sigma packed; on seeded coordinates it gives the components as jets, and the
+load f = div(sigma) + kappa^2 rho u is read from their partials. Both are
+exact up to roundoff, so the data satisfy the governing equations. Boundary
 data are traces of the exact fields: g_d = u, g_n = sigma n,
 g_r = sigma n + i kappa u. The impedance sign is the one that matches the
 first-order flux (alpha = i kappa): the impedance and stabilization terms then
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import Jet, cos, exp, isotropic, sin, variable_preset
+from .materials import (SYM_COMPONENTS, SYM_INDEX, Jet, cos, exp, isotropic, sin, unpack_sym,
+                        variable_preset)
 
 _UNIT_TOL = 1e-12
 
@@ -31,10 +33,13 @@ class ExactCase:
     kappa: float
     material: object
     u: callable        # (..., 3)
-    sigma: callable    # (..., 3, 3), the second-order stress variable
-    u_sigma: callable  # (u, sigma) from one evaluation of the field
+    u_sigma: callable  # (u, sigma packed (..., 6)) from one evaluation of the field
     f: callable        # (..., 3) volume load
     params: dict
+
+    def sigma(self, x):
+        """The second-order stress at x as symmetric 3x3 matrices (..., 3, 3)."""
+        return unpack_sym(self.u_sigma(x)[1])
 
     def g_d(self, x):
         return self.u(x)
@@ -44,10 +49,10 @@ class ExactCase:
 
     def g_r(self, x, n):
         u, sigma = self.u_sigma(x)
-        return np.einsum("...ij,...j->...i", sigma, n) + 1j * self.kappa * u
+        return np.einsum("...ij,...j->...i", unpack_sym(sigma), n) + 1j * self.kappa * u
 
     def first_order_fields(self, x):
-        """u and the first-order (unscaled) stress (i/kappa) sigma at x."""
+        """u and the first-order (unscaled) stress (i/kappa) sigma, packed, at x."""
         if self.kappa == 0:
             raise ValueError("unscaled stress is undefined at kappa = 0")
         u, sigma = self.u_sigma(x)
@@ -59,26 +64,23 @@ def _lift(value):
 
 
 def _stack(components, batch):
-    """A sequence of 3 or a 3x3 nested list of component values at a batch of
-    points -> one array of shape batch + (3,) or batch + (3, 3), a constant
-    component broadcast, real values as floats."""
-    nested = isinstance(components[0], list)
-    cols = [np.broadcast_to(c, batch)
-            for c in ([c for row in components for c in row] if nested else components)]
-    return np.stack(cols, axis=-1, dtype=np.result_type(float, *cols)).reshape(
-        batch + ((3, 3) if nested else (3,)))
+    """Component values at a batch of points -> one array of shape
+    batch + (len(components),), a constant component broadcast, real values
+    as floats."""
+    cols = [np.broadcast_to(c, batch) for c in components]
+    return np.stack(cols, axis=-1, dtype=np.result_type(float, *cols))
 
 
 def _build_case(tag, u_fn, material, kappa, params):
     def fields(xs):
-        """u and sigma = mu (grad u + grad u^T) + lam div(u) I at the
-        coordinates xs (arrays, or jets), with u seeded one level above them."""
+        """u and the packed sigma = mu (grad u + grad u^T) + lam div(u) I at
+        the coordinates xs (arrays, or jets), with u seeded one level above them."""
         u = [_lift(c) for c in u_fn(*Jet.seed(xs))]
         grad = [[c.d1.get(j, 0.0) for j in range(3)] for c in u]
         div = grad[0][0] + grad[1][1] + grad[2][2]
         lam, mu = material.lam_fn(*xs), material.mu_fn(*xs)
-        return [c.val for c in u], [[mu * (grad[i][j] + grad[j][i]) + (lam * div if i == j else 0)
-                                     for j in range(3)] for i in range(3)]
+        return [c.val for c in u], [mu * (grad[i][j] + grad[j][i]) + (lam * div if i == j else 0)
+                                    for i, j in SYM_COMPONENTS]
 
     def u(x):
         x = np.asarray(x)
@@ -88,17 +90,14 @@ def _build_case(tag, u_fn, material, kappa, params):
         x = np.asarray(x)
         return tuple(_stack(c, x.shape[:-1]) for c in fields(np.moveaxis(x, -1, 0)))
 
-    def sigma(x):
-        return u_sigma(x)[1]
-
     def f(x):
         x = np.asarray(x)
         uj, s = fields(Jet.seed(np.moveaxis(x, -1, 0)))
         rho = material.rho(x)
-        return _stack([sum(_lift(s[i][j]).d1.get(j, 0.0) for j in range(3))
+        return _stack([sum(_lift(s[c]).d1.get(j, 0.0) for j, c in enumerate(SYM_INDEX[i]))
                        + kappa ** 2 * rho * _lift(uj[i]).val for i in range(3)], x.shape[:-1])
 
-    return ExactCase(tag, float(kappa), material, u, sigma, u_sigma, f, params)
+    return ExactCase(tag, float(kappa), material, u, u_sigma, f, params)
 
 
 def _varcoeff_u(x1, x2, x3):

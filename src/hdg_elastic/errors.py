@@ -14,7 +14,7 @@ from .global_system import ProblemData, solve_time_harmonic
 from .local_ops import VARIANTS, element_batches
 # unused here; perfbench/tracing.py wraps it through this module's binding
 from .local_ops import assemble_local_blocks  # noqa: F401
-from .materials import FROBENIUS_WEIGHTS, SYM_MATS, pack_sym
+from .materials import FROBENIUS_WEIGHTS, SYM_MATS
 from .mesh import BoundaryTag, build_structured_cube, tag_boundary
 
 
@@ -31,7 +31,7 @@ class ErrorReport:
 
 
 def compute_errors(disc, material, case, solution):
-    """L2 errors of displacement and stress plus the skeleton trace error."""
+    """L2 errors of displacement and packed stress plus the skeleton trace error."""
     mesh = disc.mesh
     # about 80 doubles per quadrature point: exact and discrete fields, their
     # differences and the basis values
@@ -42,7 +42,6 @@ def compute_errors(disc, material, case, solution):
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
         phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
         u_ex, s_ex = case.u_sigma(pts)
-        s_ex = pack_sym(s_ex)
         u_h = _rmul(psi, np.swapaxes(solution.u[batch], 1, 2))
         s_h = _rmul(phi, np.swapaxes(solution.sigma[batch], 1, 2))
         sums += [np.sum(wts * np.sum(np.abs(u_ex - u_h) ** 2, axis=-1)),
@@ -106,16 +105,15 @@ def energy_identity_sides(disc, material, case, solution):
 
     All terms are evaluated with the quadrature of the discretization used
     for the solve, so the identity holds to roundoff once the quadrature
-    resolves the exact fields. Every term comes from the fields' values at
-    the quadrature points, with no element block: the A-forms through
-    compliance_dual and P_M e_u as the face moments of e_u. Coefficients are
-    kept basis index first, (..., n, components), so that point values and
+    resolves the exact fields. Every term comes from the fields' values at the
+    quadrature points, with no element block: the A-forms through compliance_dual
+    and P_M e_u as the face moments of e_u; the exact stress comes packed. Coefficients
+    are kept basis index first, (..., n, components), so that point values and
     moments are stacked matmuls with the real basis tables."""
     mesh = disc.mesh
     kappa, fields = case.kappa, case.first_order_fields
     # exact traces at the face quadrature points and e_mhat, once per face
     u_face, s_face = fields(disc.face_points)
-    s_face = pack_sym(s_face)
     e_mhat = moments(disc.face_weights, u_face, disc.face_chi) - np.swapaxes(solution.uhat, 1, 2)
     # ||e_mhat||^2 on the impedance boundary, a term of the left side only
     boundary = np.array([np.sum(np.abs(e_mhat[mesh.face_tags == BoundaryTag.IMPEDANCE]) ** 2), 0])
@@ -129,7 +127,6 @@ def energy_identity_sides(disc, material, case, solution):
         pts, wts = disc.element_points(batch), disc.element_weights(batch)
         phi, psi = disc.scalar_basis(batch, "V"), disc.scalar_basis(batch, "W")
         u_ex, s_ex = fields(pts)
-        s_ex = pack_sym(s_ex)
         proj_s, proj_u = moments(wts, s_ex, phi), moments(wts, u_ex, psi)
         e_s = proj_s - (1j / kappa) * np.swapaxes(solution.sigma[batch], 1, 2)
         e_u = proj_u - np.swapaxes(solution.u[batch], 1, 2)

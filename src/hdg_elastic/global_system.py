@@ -656,7 +656,8 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
 
     form='second': the alpha-family system in the second-order stress.
     form='first':  the first-order system in the unscaled stress (load and
-    traction data divided by -i*kappa accordingly).
+    traction data divided by -i*kappa accordingly), whose flux is always the
+    first_order variant's: any other variant is refused (None is accepted).
     Trace rows of Dirichlet faces fix the projected Dirichlet datum. The
     matrix and rhs take the problem's dtype, as in assemble_hybrid: float64
     for a real alpha, no impedance face and real data, complex otherwise.
@@ -664,6 +665,9 @@ def assemble_monolithic(disc, material, data, variant, form="second"):
     mesh = disc.mesh
     kappa = data.kappa
     if form == "first":
+        if variant is not None and variant.tag != "first_order":
+            raise ValueError(f"the first-order form solves the first_order flux, "
+                             f"not the {variant.tag!r} variant")
         if kappa == 0:
             raise ValueError("first-order form requires kappa != 0")
         if np.any(mesh.face_tags == BoundaryTag.IMPEDANCE):

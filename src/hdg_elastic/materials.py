@@ -1,4 +1,4 @@
-"""Isotropic linear elastic material laws: compliance, wavespeeds, presets.
+"""Isotropic linear elastic materials: moduli fields, wavespeeds, presets.
 
 Symmetric 3x3 tensors are packed as 6-vectors of matrix entries in the order
 (11, 22, 33, 23, 13, 12); off-diagonal entries are stored unscaled, and the
@@ -23,18 +23,21 @@ import numpy as np
 SYM_COMPONENTS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 FROBENIUS_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 
-# E_c: unit symmetric matrix for packed component c (both off-diagonal slots set)
+# E_c: unit symmetric matrix for packed component c (both off-diagonal slots set);
+# SYM_INDEX[i, j]: the packed component that holds entry (i, j)
 SYM_MATS = np.zeros((6, 3, 3))
+SYM_INDEX = np.zeros((3, 3), dtype=int)
 for _c, (_i, _j) in enumerate(SYM_COMPONENTS):
     SYM_MATS[_c, _i, _j] = 1.0
     SYM_MATS[_c, _j, _i] = 1.0
+    SYM_INDEX[_i, _j] = SYM_INDEX[_j, _i] = _c
 
 _SYM_TOL = 1e-12
-_TRACE_PICK = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def pack_sym(mat):
-    """(..., 3, 3) symmetric matrices -> (..., 6) packed entries."""
+    """(..., 3, 3) symmetric matrices -> (..., 6) packed entries. The symmetry
+    check guards fields from outside the package (Discretization.project_v)."""
     mat = np.asarray(mat)
     skew = np.abs(mat - np.swapaxes(mat, -1, -2)).max(initial=0.0)
     scale = max(np.abs(mat).max(initial=0.0), 1.0)
@@ -44,9 +47,9 @@ def pack_sym(mat):
 
 
 def unpack_sym(packed):
-    """(..., 6) packed entries -> (..., 3, 3) symmetric matrices."""
-    packed = np.asarray(packed)
-    return np.einsum("...c,cij->...ij", packed, SYM_MATS.astype(packed.dtype, copy=False))
+    """(..., 6) packed entries -> (..., 3, 3) symmetric matrices, a contiguous
+    exact copy of the entries."""
+    return np.take(packed, SYM_INDEX, axis=-1)
 
 
 def _merged(a, b):
@@ -183,19 +186,6 @@ class Material:
         """(lam, mu, rho) at points; raises ValueError, naming the field,
         unless mu > 0, 3*lam + 2*mu > 0 and rho > 0 at every point (a NaN fails)."""
         return _check_moduli(self.lam(points), self.mu(points), self.rho(points))
-
-    def compliance_packed(self, points):
-        """(..., 6, 6) entry representation of the inverse law A = C^-1."""
-        lam, mu = self.lam(points), self.mu(points)
-        eye = np.eye(6)
-        tr = np.outer(_TRACE_PICK, _TRACE_PICK)
-        coef = lam / (2.0 * mu * (2.0 * mu + 3.0 * lam))
-        return eye / (2.0 * mu[..., None, None]) - coef[..., None, None] * tr
-
-    def compliance_bound(self, points):
-        """Pointwise spectral norm of A: max(1/(2 mu), 1/(2 mu + 3 lam))."""
-        lam, mu = self.lam(points), self.mu(points)
-        return np.maximum(1.0 / (2.0 * mu), 1.0 / (2.0 * mu + 3.0 * lam))
 
     def wavespeeds(self, points):
         """(c_p, c_s) = (sqrt((lam + 2 mu)/rho), sqrt(mu/rho))."""

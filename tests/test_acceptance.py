@@ -29,8 +29,7 @@ from hdg_elastic.local_ops import condense_batch, element_blocks, resolution_fla
 from hdg_elastic.materials import isotropic, variable_preset
 from hdg_elastic.time_domain import FLUXES
 
-EOC_WINDOW_LO = 0.3   # allowed shortfall below the optimal rate
-EOC_WINDOW_HI = 0.5   # allowed excess above the optimal rate
+from rate_windows import rate_windows_ok
 
 
 def report(num, name, ok, detail):
@@ -40,12 +39,6 @@ def report(num, name, ok, detail):
 def _finest_pair_rates(test, variant, k, **kwargs):
     rows, _ = run_experiment(test, variant, k, [1, 2, 3, 4], **kwargs)
     return float(rows[-1]["eoc_u"]), float(rows[-1]["eoc_sigma"]), rows
-
-
-def _rate_windows_ok(eoc_u, eoc_sigma, k):
-    ok_u = (k + 2 - EOC_WINDOW_LO) <= eoc_u <= (k + 2 + EOC_WINDOW_HI)
-    ok_s = (k + 1 - EOC_WINDOW_LO) <= eoc_sigma <= (k + 1 + EOC_WINDOW_HI)
-    return ok_u, ok_s
 
 
 def test_criterion_01_polynomial_exactness():
@@ -66,7 +59,7 @@ def test_criterion_01_polynomial_exactness():
 @pytest.mark.parametrize("k", [1, 2])
 def test_criterion_02_optimal_rates_first_order(k):
     eoc_u, eoc_s, _ = _finest_pair_rates("varcoeff", "first-order", k)
-    ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, k)
+    ok_u, ok_s = rate_windows_ok(eoc_u, eoc_s, k)
     report(2, f"optimal rates, first-order variant (k={k})", ok_u and ok_s,
            f"EOC(u)={eoc_u:.2f} (target {k + 2}), "
            f"EOC(sigma)={eoc_s:.2f} (target {k + 1})")
@@ -76,14 +69,14 @@ def test_criterion_02_optimal_rates_first_order(k):
 def test_optimal_rates_first_order_k3():
     rows, _ = run_experiment("varcoeff", "first-order", 3, [1, 2, 3])
     eoc_u, eoc_s = float(rows[-1]["eoc_u"]), float(rows[-1]["eoc_sigma"])
-    ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, 3)
+    ok_u, ok_s = rate_windows_ok(eoc_u, eoc_s, 3)
     assert ok_u and ok_s, f"EOC(u)={eoc_u:.2f} (target 5), EOC(sigma)={eoc_s:.2f} (target 4)"
 
 
 @pytest.mark.parametrize("wave", ["pwave", "swave"])
 def test_criterion_03_plane_waves(wave):
     eoc_u, eoc_s, rows = _finest_pair_rates(wave, "first-order", 1, kappa=1.0)
-    ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, 1)
+    ok_u, ok_s = rate_windows_ok(eoc_u, eoc_s, 1)
     report(3, f"plane-wave rates ({wave}, k=1, all-Dirichlet)", ok_u and ok_s,
            f"EOC(u)={eoc_u:.2f} (target 3), EOC(sigma)={eoc_s:.2f} (target 2)")
     assert ok_u and ok_s
@@ -92,7 +85,7 @@ def test_criterion_03_plane_waves(wave):
 @pytest.mark.parametrize("k", [1, 2])
 def test_criterion_04_conservative_rates(k):
     eoc_u, eoc_s, _ = _finest_pair_rates("varcoeff", "second-order", k)
-    ok_u, ok_s = _rate_windows_ok(eoc_u, eoc_s, k)
+    ok_u, ok_s = rate_windows_ok(eoc_u, eoc_s, k)
     report(4, f"conservative-variant rates (k={k})", ok_u and ok_s,
            f"EOC(u)={eoc_u:.2f} (target {k + 2}), "
            f"EOC(sigma)={eoc_s:.2f} (target {k + 1})")

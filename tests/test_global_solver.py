@@ -133,6 +133,18 @@ def test_first_order_form_equivalence(poly_setup):
     assert np.abs(ref.sigma - scaled).max() < 1e-10 * np.abs(scaled).max()
 
 
+def test_first_order_form_refuses_other_variants(poly_setup):
+    # the first-order form always builds alpha = i kappa, so it would return the
+    # first_order variant's fields under another variant's name
+    disc, case, data = poly_setup
+    for tag in ("conservative", "time_reversed", "kappa_scaled"):
+        with pytest.raises(ValueError, match=repr(tag)):
+            solve_monolithic(disc, case.material, data, VARIANTS[tag], form="first")
+    none, first = (solve_monolithic(disc, case.material, data, variant, form="first")
+                   for variant in (None, VARIANTS["first_order"]))
+    assert np.array_equal(none.u, first.u) and np.array_equal(none.sigma, first.sigma)
+
+
 @pytest.mark.parametrize("tag", ["first_order", "conservative"])
 def test_mesh_without_skeleton_unknowns(tmp_path, tag):
     # one all-Dirichlet tetrahedron: every trace is known data, the skeleton

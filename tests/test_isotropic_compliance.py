@@ -12,6 +12,8 @@ from hdg_elastic.local_ops import (_isotropic_layout, assemble_local_blocks,
                                    element_blocks, factorize_local)
 from hdg_elastic.time_domain import SemidiscreteSystem
 
+from constitutive import compliance_packed
+
 MATERIALS = {"variable": variable_preset(), "negative_lam": isotropic(-0.6, 1.0, 1.0)}
 
 
@@ -26,7 +28,7 @@ def disc(request):
 
 def dense_compliance_mass(disc, material, elements):
     """A[a i, b j] = sum_q w_q W_a A_ab(x_q) phi_i phi_j from the pointwise law."""
-    wa = FROBENIUS_WEIGHTS[:, None] * material.compliance_packed(disc.element_points(elements))
+    wa = FROBENIUS_WEIGHTS[:, None] * compliance_packed(material, disc.element_points(elements))
     phi = disc.phi_ref
     A = np.einsum("q,bqcd,qi,qj->bcidj", disc.vol_rule.weights, wa, phi, phi)
     return A.reshape(len(elements), 6 * disc.nV, 6 * disc.nV)

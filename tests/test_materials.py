@@ -11,21 +11,15 @@ import pytest
 import sympy as sp
 
 import hdg_elastic
-from hdg_elastic import (FROBENIUS_WEIGHTS, SYM_MATS, Jet, Material, isotropic,
-                         make_case, pack_sym, unpack_sym, variable_preset)
+from hdg_elastic import (FROBENIUS_WEIGHTS, SYM_COMPONENTS, SYM_MATS, Jet, Material,
+                         isotropic, make_case, pack_sym, unpack_sym, variable_preset)
 from hdg_elastic import materials
+
+from constitutive import compliance_bound, compliance_packed, stiffness_packed
 
 
 RNG = np.random.default_rng(42)
 X1, X2, X3 = sp.symbols("x1 x2 x3", real=True)
-TRACE_PICK = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-
-
-def stiffness_packed(material, points):
-    """(..., 6, 6) entry representation of C xi = 2 mu xi + lam tr(xi) I."""
-    lam, mu = material.lam(points), material.mu(points)
-    tr = np.outer(TRACE_PICK, TRACE_PICK)
-    return 2.0 * mu[..., None, None] * np.eye(6) + lam[..., None, None] * tr
 
 
 def apply_stiffness(material, points, xi):
@@ -36,7 +30,7 @@ def apply_stiffness(material, points, xi):
 
 def apply_compliance(material, points, xi):
     """A xi = C^-1 xi for a symmetric matrix field xi of shape (..., 3, 3)."""
-    return unpack_sym(np.einsum("...cd,...d->...c", material.compliance_packed(points),
+    return unpack_sym(np.einsum("...cd,...d->...c", compliance_packed(material, points),
                                 pack_sym(xi)))
 
 
@@ -78,7 +72,7 @@ def test_compliance_vs_numeric_inverse():
     mat = isotropic(1.3, 0.7, 1.0)
     x = np.zeros((1, 3))
     C = stiffness_packed(mat, x)[0]
-    A = mat.compliance_packed(x)[0]
+    A = compliance_packed(mat, x)[0]
     # invert the Frobenius-weighted pairing form of C numerically
     W = np.diag(FROBENIUS_WEIGHTS)
     assert np.abs(A - np.linalg.inv(W @ C) @ W).max() < 1e-13
@@ -119,7 +113,7 @@ def test_positivity_bounds():
     cxi = apply_stiffness(mat, pts, xi)
     assert np.all(np.einsum("qab,qab->q", cxi, xi) >= 2 * 3.0 * norm2 - 1e-10)
     axi = apply_compliance(mat, pts, xi)
-    ca = mat.compliance_bound(pts)
+    ca = compliance_bound(mat, pts)
     assert np.all(np.einsum("qab,qab->q", axi, xi) <= ca * norm2 + 1e-12)
 
 
@@ -127,13 +121,13 @@ def test_compliance_bound_is_spectral():
     # c_A equals the top eigenvalue of the Frobenius-consistent 6x6 form
     mat = variable_preset()
     pts = RNG.uniform(0.0, 1.0, (10, 3))
-    A = mat.compliance_packed(pts)
+    A = compliance_packed(mat, pts)
     W = np.diag(FROBENIUS_WEIGHTS)
     half = np.diag(np.sqrt(FROBENIUS_WEIGHTS))
     for q in range(10):
         sym = half @ A[q] @ np.linalg.inv(half)
         top = np.linalg.eigvalsh(0.5 * (sym + sym.T)).max()
-        assert abs(top - mat.compliance_bound(pts[q:q + 1])[0]) < 1e-12
+        assert abs(top - compliance_bound(mat, pts[q:q + 1])[0]) < 1e-12
 
 
 def test_wavespeeds():
@@ -307,9 +301,11 @@ def _symbolic_data(case):
 def test_case_data_match_symbolic_derivation(tag, k):
     case = make_case(tag, kappa=1.3, k=k)
     pts = np.random.default_rng(11).uniform(0.0, 1.0, (40, 3))
+    refs = {}
     for name, exprs in zip(("u", "sigma", "f"), _symbolic_data(case)):
-        ref = np.array([[complex(e.evalf(20, subs=dict(zip((X1, X2, X3), x))))
-                         for e in np.ravel(np.array(exprs, dtype=object))] for x in pts])
+        ref = refs[name] = np.array([[complex(e.evalf(20, subs=dict(zip((X1, X2, X3), x))))
+                                      for e in np.ravel(np.array(exprs, dtype=object))]
+                                     for x in pts])
         value = getattr(case, name)(pts).reshape(len(pts), -1)
         scale = np.abs(ref).max()
         if name == "f" and tag in ("pwave", "swave"):
@@ -317,6 +313,15 @@ def test_case_data_match_symbolic_derivation(tag, k):
             assert scale < 1e-14 and np.abs(value).max() < 1e-14
         else:
             assert np.abs(value - ref).max() <= 1e-13 * scale, name
+    # u_sigma gives sigma packed, in the order the solver stores it; sigma and
+    # the first-order stress are read from those six components
+    packed = case.u_sigma(pts)[1]
+    ref = refs["sigma"].reshape(len(pts), 3, 3)
+    ref = np.stack([ref[:, i, j] for i, j in SYM_COMPONENTS], axis=-1)
+    assert packed.shape == (len(pts), 6)
+    assert np.abs(packed - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(unpack_sym(packed), case.sigma(pts))
+    assert np.array_equal(case.first_order_fields(pts)[1], (1j / case.kappa) * packed)
 
 
 def test_solve_path_does_not_import_sympy():
